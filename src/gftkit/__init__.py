@@ -22,6 +22,7 @@ from .errors import (
     StepSizeUnderflow,
     TargetOutOfRange,
     UnivalenceNotChecked,
+    WronskianDrift,
     YVanishes,
 )
 from .expressions import (

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog
-from .errors import GftError
+from .errors import GftError, WronskianDrift
 from .expressions import parse
 from .families import DiskSampler, Family, membership, order_estimate, injectivity_spot_check
 from .palpha import QFunction, check_palpha, constant_solver, sharpness_construct
@@ -263,11 +263,19 @@ def _cmd_radius(args, t0):
     return code
 
 
+_WRONSKIAN_TOL = 1e-8
+
+
 def _cmd_factor_check(args, t0):
     f, text = _source_expr(args)
     sampler = _sampler(args)
     rep = starlike_equivalence_check(f, args.alpha, n_rays=args.rays, sampler=sampler,
                                      tol=max(args.tol, 1e-4))
+    if rep.wronskian_worst > _WRONSKIAN_TOL:
+        raise WronskianDrift(
+            f"worst Wronskian drift {rep.wronskian_worst:.3e} exceeds {_WRONSKIAN_TOL:g}; "
+            "the ray solves cannot be trusted"
+        )
     lines = [
         f"target starlike order (1+alpha)/2 = {0.5 * (1 + args.alpha)}",
         f"factor-solution margin over {rep.n_rays} rays: {rep.v_margin:.6g} "
@@ -283,7 +291,7 @@ def _cmd_factor_check(args, t0):
          "seed": args.seed},
         {"holds": rep.agree, "margin": rep.v_margin,
          "witness": _witness(wz.real, wz.imag, rep.v_margin)},
-        {"tol": max(args.tol, 1e-4), "wronskian": 1e-8}, t0, lines,
+        {"tol": max(args.tol, 1e-4), "wronskian": _WRONSKIAN_TOL}, t0, lines,
     )
     return 0 if rep.agree else 1
 

@@ -70,6 +70,10 @@ class NonAnalyticSample(GftError):
     """A coefficient sample for the ray ODE was non-finite."""
 
 
+class WronskianDrift(GftError):
+    """A ray solve's Wronskian u v' - u' v drifted from 1 past tolerance."""
+
+
 class UnivalenceNotChecked(UserWarning):
     """Membership verdicts for the inverse-convex family assume a
     univalent input; the toolkit samples the inequality only."""

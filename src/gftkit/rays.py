@@ -9,6 +9,17 @@ gauge of every ray solve.
 The coefficient p has a double pole nowhere but may not extend to z = 0
 when f carries the normalized simple pole, so integration starts at a
 small rho_0 > 0 from the local series v = z - p z^3/6, u = 1 - p z^2/2.
+
+Every solve goes through one integrator, ``_solve_rays``: an equivalence
+check hands it all its rays at once and they advance as one real DOP853
+system of 8 n_rays components on a shared rho step, so each right-hand
+side call evaluates the coefficient at all n_rays points in one array jet
+pass; ``solve_ray`` is the n_rays = 1 case.  solve_ivp accepts a step by
+the RMS of the scaled error over all components, which would let one
+hard ray's error grow sqrt(n_rays) times past rtol while the easy rays
+average it down.  Both rtol and atol are therefore scaled by
+1/sqrt(n_rays): a step the shared test accepts has every ray's own RMS
+error within the unscaled tolerances, and one ray sees no change.
 """
 
 from __future__ import annotations
@@ -63,77 +74,107 @@ def solve_ray(
 ) -> RaySolution:
     """Both normalized solutions along one ray, reported on >= n_nodes radii.
 
-    ``p`` is a FunctionExpr or a plain callable z -> complex.  A non-finite
-    coefficient sample anywhere on the ray raises NonAnalyticSample.
+    ``p`` is a FunctionExpr or a plain callable z -> complex, called at a
+    scalar z.  A non-finite coefficient sample anywhere on the ray raises
+    NonAnalyticSample.
+    """
+    pc = _coefficient_callable(p)
+    (ray,) = _solve_rays(
+        lambda z: pc(complex(z[0])), [theta], r_max=r_max, rel_tol=rel_tol,
+        rho_start=rho_start, n_nodes=n_nodes,
+    )
+    return ray
+
+
+def _solve_rays(
+    p_at,
+    thetas,
+    r_max: float = 0.999,
+    rel_tol: float = 1e-10,
+    rho_start: float = 1e-3,
+    n_nodes: int = 257,
+) -> list[RaySolution]:
+    """All rays as one DOP853 system on a shared rho grid.
+
+    ``p_at`` maps the n_rays points rho e^{i theta} (a complex array) to
+    their coefficients in one call; a scalar result is broadcast.  The
+    state is a (4, n_rays) complex array (v, v_rho, u, u_rho per ray)
+    viewed as 8 n_rays reals, and the tolerances are scaled by
+    1/sqrt(n_rays) so that the shared RMS error test is at least as
+    strict as each ray's own.
     """
     if not (0.0 < r_max < 1.0):
         raise ValueError(f"r_max must lie in (0, 1), got {r_max}")
-    pc = _coefficient_callable(p)
-    phase = complex(np.exp(1j * theta))
-    phase2 = phase * phase
+    thetas = np.asarray(thetas, dtype=float)
+    n = thetas.size
+    if n < 1:
+        raise ValueError("need at least one ray")
+    phase = np.exp(1j * thetas)
     rho0 = min(float(rho_start), r_max / 8.0)
 
-    def p_at(rho: float) -> complex:
-        val = pc(rho * phase)
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
+    def p_checked(rho: float):
+        val = np.asarray(p_at(rho * phase), dtype=complex)
+        if not np.isfinite(val).all():
+            bad = np.broadcast_to(~np.isfinite(val), (n,))
+            theta = thetas[np.argmax(bad)]
             raise NonAnalyticSample(f"coefficient not finite at rho = {rho}, theta = {theta}")
         return val
 
-    p0 = p_at(rho0)
+    p0 = p_checked(rho0)
     z0 = rho0 * phase
-    v0 = z0 - p0 * z0**3 / 6.0
-    v0_z = 1.0 - p0 * z0**2 / 2.0
-    u0 = 1.0 - p0 * z0**2 / 2.0
-    u0_z = -p0 * z0
-    state0 = _pack(v0, phase * v0_z, u0, phase * u0_z)
+    state0 = np.array(
+        [
+            z0 - p0 * z0**3 / 6.0,
+            phase * (1.0 - p0 * z0**2 / 2.0),
+            1.0 - p0 * z0**2 / 2.0,
+            phase * (-p0 * z0),
+        ]
+    )
+    minus_phase2 = -phase * phase
 
     def rhs(rho, s):
-        v, v_r, u, u_r = _unpack(s)
-        coeff = -phase2 * p_at(rho)
-        return _pack(v_r, coeff * v, u_r, coeff * u)
+        # rows (w, w_rho) for w = v, u: d/drho (w, w_rho) = (w_rho, coeff w)
+        y = s.view(complex).reshape(2, 2, n)
+        out = np.empty_like(y)
+        out[:, 0] = y[:, 1]
+        out[:, 1] = (minus_phase2 * p_checked(rho)) * y[:, 0]
+        return out.view(float).ravel()
 
     nodes = np.unique(
         np.concatenate(
             [np.geomspace(rho0, r_max, 64), np.linspace(rho0, r_max, int(n_nodes))]
         )
     )
+    scale = 1.0 / np.sqrt(n)
     sol = solve_ivp(
         rhs,
         (rho0, r_max),
-        state0,
+        state0.view(float).ravel(),
         method="DOP853",
-        rtol=rel_tol,
-        atol=1e-13,
+        rtol=rel_tol * scale,
+        atol=1e-13 * scale,
         t_eval=nodes,
     )
     if not sol.success:
         raise StepSizeUnderflow(f"ray integration stopped: {sol.message}")
-    v, v_r, u, u_r = _unpack(sol.y)
-    conj_phase = np.conj(phase)
-    return RaySolution(
-        theta=float(theta),
-        rho=np.concatenate([[0.0], sol.t]),
-        v=np.concatenate([[0.0], v]),
-        v_z=np.concatenate([[1.0], conj_phase * v_r]),
-        u=np.concatenate([[1.0], u]),
-        u_z=np.concatenate([[0.0], conj_phase * u_r]),
-        n_rhs=int(sol.nfev),
-    )
-
-
-def _pack(a, b, c, d):
-    return np.array(
-        [
-            np.real(a), np.imag(a),
-            np.real(b), np.imag(b),
-            np.real(c), np.imag(c),
-            np.real(d), np.imag(d),
-        ]
-    )
-
-
-def _unpack(s):
-    return s[0] + 1j * s[1], s[2] + 1j * s[3], s[4] + 1j * s[5], s[6] + 1j * s[7]
+    y = sol.y.reshape(4, n, 2, -1)  # (v, v_rho, u, u_rho) x ray x (re, im) x node
+    rho = np.concatenate([[0.0], sol.t])
+    rays = []
+    for k in range(n):
+        v, v_r, u, u_r = y[:, k, 0] + 1j * y[:, k, 1]
+        conj_phase = np.conj(phase[k])
+        rays.append(
+            RaySolution(
+                theta=float(thetas[k]),
+                rho=rho,
+                v=np.concatenate([[0.0], v]),
+                v_z=np.concatenate([[1.0], conj_phase * v_r]),
+                u=np.concatenate([[1.0], u]),
+                u_z=np.concatenate([[0.0], conj_phase * u_r]),
+                n_rhs=int(sol.nfev),
+            )
+        )
+    return rays
 
 
 def starlike_margin(ray: RaySolution, order: float) -> float:
@@ -161,6 +202,7 @@ class EquivalenceReport:
     bc_margin: float
     agree: bool
     n_rays: int
+    n_rhs: int
 
 
 def starlike_equivalence_check(
@@ -181,16 +223,17 @@ def starlike_equivalence_check(
     """
     sampler = sampler or DiskSampler()
     target = 0.5 * (1.0 + alpha)
-    p = lambda z: schwarzian(f, z) / 2.0
+    thetas = 2.0 * np.pi * np.arange(int(n_rays)) / n_rays
+    rays = _solve_rays(
+        lambda z: schwarzian(f, z) / 2.0, thetas, r_max=sampler.r_max, rel_tol=rel_tol
+    )
 
     worst_margin, worst_theta, worst_drift = np.inf, 0.0, 0.0
-    for k in range(int(n_rays)):
-        theta = 2.0 * np.pi * k / n_rays
-        ray = solve_ray(p, theta, r_max=sampler.r_max, rel_tol=rel_tol)
+    for ray in rays:
         m = starlike_margin(ray, target)
         worst_drift = max(worst_drift, ray.wronskian_drift)
         if m < worst_margin:
-            worst_margin, worst_theta = m, theta
+            worst_margin, worst_theta = m, ray.theta
     v_holds = worst_margin >= -tol
 
     bc = membership(f, Family.BC, alpha, sampler=sampler)
@@ -204,6 +247,7 @@ def starlike_equivalence_check(
         bc_margin=bc.margin,
         agree=bool(v_holds == bc.holds_on_samples),
         n_rays=int(n_rays),
+        n_rhs=rays[0].n_rhs,
     )
 
 

@@ -163,6 +163,25 @@ def test_factor_check_agreement(capsys):
     assert report["verdict"]["margin"] == pytest.approx(0.1, abs=1e-6)
 
 
+def test_factor_check_gates_the_wronskian_tolerance(capsys, monkeypatch):
+    import dataclasses
+
+    import gftkit.cli as cli
+
+    real_check = cli.starlike_equivalence_check
+
+    def drifting_check(*args, **kwargs):
+        return dataclasses.replace(real_check(*args, **kwargs), wronskian_worst=1e-6)
+
+    monkeypatch.setattr(cli, "starlike_equivalence_check", drifting_check)
+    code = main(["factor-check", "--catalog", "mobius_pole", "--alpha", "0.8",
+                 "--rays", "8", "--json"] + FAST)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Wronskian drift" in captured.err
+    assert captured.out == ""
+
+
 def test_theorem_checks(capsys):
     assert main(["theorem", "--check", "duality", "--catalog", "inverse_log",
                  "--alpha", "0.5"] + FAST) == 0

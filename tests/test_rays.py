@@ -13,7 +13,7 @@ from gftkit import (
     starlike_margin,
 )
 from gftkit.errors import NonAnalyticSample, YVanishes
-from gftkit.rays import ReconstructedMap
+from gftkit.rays import ReconstructedMap, _solve_rays
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::gftkit.errors.UnivalenceNotChecked"
@@ -98,6 +98,50 @@ def test_equivalence_margin_scales_with_order():
     rep = starlike_equivalence_check(f, 0.3, n_rays=8)
     assert rep.agree and rep.v_holds and rep.bc_holds
     assert rep.wronskian_worst <= 1e-8
+
+
+def test_equivalence_report_counts_the_shared_rhs_calls():
+    f = catalog.cot_scaled(0.3).expr
+    rep = starlike_equivalence_check(f, 0.3, n_rays=8)
+    rays = _solve_rays(lambda z: schwarzian(f, z) / 2.0,
+                       2.0 * np.pi * np.arange(8) / 8)
+    assert rep.n_rhs > 0
+    assert [ray.n_rhs for ray in rays] == [rep.n_rhs] * 8
+
+
+def _closed_form_v(name, z):
+    if name == "quarter_pole":
+        return z / np.sqrt(1.0 - z * z / 4.0)
+    b = catalog.get_entry(name).params["b"]
+    return np.sin(b * z) / b
+
+
+@pytest.mark.parametrize("n_rays", [8, 64])
+@pytest.mark.parametrize("name", ["cot_scaled_a030", "quarter_pole"])
+def test_batched_rays_match_closed_forms_and_single_ray_solves(name, n_rays):
+    f = catalog.get_entry(name).expr
+    p = lambda z: schwarzian(f, z) / 2.0
+    thetas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    for ray in _solve_rays(p, thetas):
+        assert np.max(np.abs(ray.v - _closed_form_v(name, ray.z))) <= 1e-7
+        assert ray.wronskian_drift <= 1e-8
+
+    alpha = 0.3
+    rep = starlike_equivalence_check(f, alpha, n_rays=n_rays)
+    looped = min(starlike_margin(solve_ray(p, float(t)), 0.5 * (1.0 + alpha))
+                 for t in thetas)
+    assert rep.v_margin == pytest.approx(looped, abs=1e-9)
+
+
+def test_a_non_finite_coefficient_names_its_ray():
+    def p(z):
+        near_zero = (np.abs(np.angle(z)) < 0.1) & (np.abs(z) > 0.5)
+        return np.where(near_zero, complex("nan"), 0.0)
+
+    # theta = 0 sits mid-batch, so the report cannot default to the first ray
+    thetas = np.roll(2.0 * np.pi * np.arange(8) / 8, 3)
+    with pytest.raises(NonAnalyticSample, match=r"theta = 0\.0$"):
+        _solve_rays(p, thetas)
 
 
 # -- reconstruction on the real axis ------------------------------------------
