@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -333,6 +334,7 @@ def _cmd_sharpness(args, t0):
         f"ratio target beta = {res.beta}, boundary limit estimate "
         f"{res.limit_estimate:.9g}",
         f"infimum of x y'/y on the span: {res.min_ratio:.9g} at x = {res.argmin_x:.9f}",
+        f"certified floor beta + (1-beta)/(n+2): {res.floor:.9g}",
     ]
     if res.found:
         lines.append(
@@ -344,10 +346,12 @@ def _cmd_sharpness(args, t0):
         lines.append("no x0 with x y'/y <= beta in the span "
                      "(the construction tightens only as n grows)")
         wit = _witness(res.argmin_x, 0.0, res.min_ratio)
+    # the gap to beta at the boundary; min_ratio at x = 1 - eps_end overstates it
+    boundary = res.min_ratio if math.isnan(res.limit_estimate) else res.limit_estimate
     _emit(
         args, "sharpness",
         {"n": args.n, "beta": args.beta, "eps_end": args.eps_end, "seed": args.seed},
-        {"holds": res.found, "margin": res.min_ratio - res.beta, "witness": wit},
+        {"holds": res.found, "margin": boundary - res.beta, "witness": wit},
         {"tol": args.tol}, t0, lines,
     )
     return 0 if res.found else 1

@@ -9,6 +9,10 @@ of (1 - x) there.
 
 Everything downstream (Schwarzian sufficiency, sharpness probes) reduces
 to this one ODE, so the integrator settings here are deliberately tight.
+
+scipy.integrate is imported inside integrate_ivp and integrate_q (and
+rays._solve_rays), on first use: it is most of the package's import
+time, and the grid-only routes never need it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     ExtrapolationDiverged,
@@ -30,6 +33,9 @@ from .expressions import FunctionExpr, parse
 from .numerics import bisect, richardson
 
 _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
+_IMAG_TOL = 1e-12  # relative allowance for roundoff in Im q
+# interior points where an expression q is screened once for Im q != 0
+_PROBES = np.linspace(0.0, 1.0, 34)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,9 @@ class QFunction:
 
     Calls validate nonnegativity on every evaluated batch: a value below
     -1e-12 raises NonnegativityViolated, values inside the roundoff band
-    clamp to zero.
+    clamp to zero.  An expression is screened once, at construction, on
+    fixed probe points in (0, 1): ValueError if q takes a complex value
+    there (|Im q| > 1e-12 max(1, |Re q|); non-finite values are skipped).
     """
 
     kind: str
@@ -57,6 +65,15 @@ class QFunction:
         e = expr if isinstance(expr, FunctionExpr) else parse(str(expr), variable="x")
         if e.variable != "x":
             raise ValueError("coefficient expressions use the variable x")
+        with np.errstate(all="ignore"):
+            v = np.asarray(e.value(_PROBES.astype(complex)), dtype=complex)
+        v = np.broadcast_to(v, _PROBES.shape)  # a constant evaluates to a scalar
+        bad = np.isfinite(v) & (np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v.real)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"coefficient {e} is complex: q({_PROBES[i]:.6g}) = {v[i]:.6g}"
+            )
 
         def fn(x):
             return np.real(e.value(np.asarray(x, float).astype(complex)))
@@ -127,6 +144,8 @@ def integrate_ivp(
         raise ValueError(f"eps_end must lie in [1e-8, 1e-2], got {eps_end}")
     if rel_tol > 1e-8:
         raise ValueError(f"rel_tol must be <= 1e-8, got {rel_tol}")
+    from scipy.integrate import solve_ivp
+
     x_end = 1.0 - eps_end
     base = np.linspace(0.0, x_end, 385)
     tail = 1.0 - np.geomspace(0.5, eps_end, 161)
@@ -170,6 +189,7 @@ class PalphaVerdict:
     raw_tail: tuple
     eps_end: float
     tol: float
+    n_rhs: int
 
     def member_at(self, alpha: float) -> bool:
         return self.positive_on_01 and self.limit_estimate >= alpha - self.tol
@@ -238,6 +258,7 @@ def check_palpha(
         raw_tail=raw,
         eps_end=eps_end,
         tol=tol,
+        n_rhs=sol.n_rhs,
     )
 
 
@@ -250,6 +271,8 @@ def integrate_q(q: QFunction, abs_tol: float = 1e-10) -> float:
     like (n+1) x^n hide their mass many halvings past 1/2.  Raises
     QuadratureFailed if the segments have not decayed by k = 60.
     """
+    from scipy.integrate import quad
+
     total, _ = quad(q, 0.0, 0.5, epsabs=abs_tol / 10.0, epsrel=1e-12, limit=200)
     cutoff = max(abs_tol / 10.0, 1e-16)
     prev = math.inf
@@ -314,10 +337,12 @@ class SharpnessResult:
 
         x y'/y >= y'(1) >= 1 - int_0^1 q(x) x dx = beta + (1-beta)/(n+2),
 
-    strictly above beta.  The construction shows beta is sharp only in
-    the limit n -> oo (at n = 200, beta = 0.4: floor 0.402970, boundary
-    limit 0.405038); min_ratio and limit_estimate show how close it
-    gets.  This is why ``gftkit sharpness`` exits 1.
+    strictly above beta; ``floor`` records that certified bound.  The
+    construction shows beta is sharp only in the limit n -> oo (at
+    n = 200, beta = 0.4: floor 0.402970, boundary limit 0.405038);
+    min_ratio and limit_estimate show how close it gets, and
+    floor <= limit_estimate <= min_ratio.  This is why ``gftkit
+    sharpness`` exits 1.
     """
 
     n: int
@@ -331,6 +356,7 @@ class SharpnessResult:
     argmin_x: float
     limit_estimate: float
     eps_end: float
+    floor: float
 
 
 def sharpness_construct(
@@ -386,4 +412,5 @@ def sharpness_construct(
         argmin_x=float(xs[i_min]) if ratios.size else math.nan,
         limit_estimate=limit,
         eps_end=eps_end,
+        floor=float(beta) + (1.0 - beta) / (n + 2),
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NonAnalyticSample, StepSizeUnderflow
 from .expressions import FunctionExpr
@@ -109,6 +108,8 @@ def _solve_rays(
     n = thetas.size
     if n < 1:
         raise ValueError("need at least one ray")
+    from scipy.integrate import solve_ivp  # on first use; see palpha
+
     phase = np.exp(1j * thetas)
     rho0 = min(float(rho_start), r_max / 8.0)
 

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import gftkit
 from gftkit import catalog
 from gftkit.cli import build_parser, main
 
@@ -200,6 +204,16 @@ def test_sharpness_reports_a_miss_honestly(capsys):
     assert report["verdict"]["witness"]["re"] > 0.99
 
 
+def test_sharpness_margin_is_taken_at_the_boundary(capsys):
+    code, report = run_json(capsys, ["sharpness", "--n", "2000", "--beta", "0.1"])
+    assert code == 1
+    # boundary limit 0.10070, not the ratio 0.1025 at x = 1 - eps_end
+    assert report["verdict"]["margin"] == pytest.approx(0.000697, abs=2e-6)
+    main(["sharpness", "--n", "2000", "--beta", "0.1"])
+    floor = 0.1 + 0.9 / 2002
+    assert f"certified floor beta + (1-beta)/(n+2): {floor:.9g}" in capsys.readouterr().out
+
+
 def test_catalog_listing(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -241,3 +255,37 @@ def test_parser_registers_every_subcommand():
         ["classify", "order", "schwarzian", "norm", "palpha", "const-q",
          "radius", "factor-check", "theorem", "sharpness", "catalog"]
     )
+
+
+# -- import graph ----------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import gftkit, gftkit.cli
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+states = [scipy_loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    gftkit.cli.main(["classify", "--catalog", "mobius_pole", "--family", "bsstar",
+                     "--alpha", "0.5", "--rings", "12", "--points", "64"])
+    states.append(scipy_loaded())
+    gftkit.cli.main(["const-q", "--target", "0.5"])
+    states.append(scipy_loaded())
+    gftkit.cli.main(["palpha", "--q-const", "1", "--alpha", "0.5"])
+    states.append(scipy_loaded())
+print(states)
+"""
+
+
+def test_scipy_is_imported_only_by_the_ode_and_quadrature_routes():
+    src = os.path.dirname(os.path.dirname(gftkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    # import, classify, const-q: no scipy; the palpha ODE loads it
+    assert out.strip() == "[False, False, False, True]"

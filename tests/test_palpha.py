@@ -63,6 +63,19 @@ def test_expression_variable_must_be_x():
         QFunction.from_expression(__import__("gftkit").parse("z^2"))
 
 
+@pytest.mark.parametrize("text", ["5*i*x", "2.0*x*(1 + 0.5*i)", "1.5 + 0.7*i"])
+def test_complex_coefficient_is_rejected(text):
+    # dropping the imaginary part would answer for a different q
+    with pytest.raises(ValueError, match="complex"):
+        QFunction.from_expression(text)
+
+
+def test_real_coefficients_pass_the_complex_screen():
+    # a pole or a removable 0/0 on a probe point (x = 1/33) is skipped, not rejected
+    for text in ["2*(1-x)", "exp(x)*cos(x)", "x^0.5", "1/(33*x-1)", "(33*x-1)^2/(33*x-1)"]:
+        QFunction.from_expression(text)
+
+
 # -- base solution ------------------------------------------------------------
 
 
@@ -134,6 +147,13 @@ def test_member_at_reuses_the_ladder():
     assert v.member_at(0.9) and v.member_at(0.5)
     v4 = check_palpha(QFunction.constant(4.0), 0.0)
     assert not v4.member_at(0.0)
+
+
+def test_verdict_carries_the_rhs_count():
+    q = QFunction.from_expression("2*(1-x)")
+    v = check_palpha(q, 0.1, eps_end=2.0**-18, rel_tol=1e-11)
+    assert v.n_rhs == integrate_ivp(q, eps_end=2.0**-18, rel_tol=1e-11).n_rhs
+    assert v.n_rhs > 0
 
 
 def test_ladder_needs_enough_room():
@@ -222,6 +242,13 @@ def test_sharpness_gap_narrows_with_n():
     assert all(g > 0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 6e-3  # n = 200 closes to within single digits of 1e-3
+
+
+def test_sharpness_reports_its_certified_floor():
+    for n, beta in [(1, 0.0), (3, 0.5), (200, 0.4), (2000, 0.1)]:
+        res = sharpness_construct(n, beta)
+        assert res.floor == beta + (1.0 - beta) / (n + 2)
+        assert res.floor <= res.limit_estimate <= res.min_ratio
 
 
 def test_sharpness_validation():
