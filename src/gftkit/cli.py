@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, catalog
 from .errors import GftError, WronskianDrift
 from .expressions import parse
-from .families import DiskSampler, Family, membership, order_estimate, injectivity_spot_check
+from .families import DiskSampler, Family, GridField, injectivity_spot_check, membership
 from .palpha import QFunction, check_palpha, constant_solver, sharpness_construct
 from .radius import radius_inverse_convexity, rotation_witness, verify_radius
 from .rays import starlike_equivalence_check
@@ -125,10 +125,10 @@ def _cmd_classify(args, t0):
 
 def _cmd_order(args, t0):
     f, text = _source_expr(args)
-    sampler = _sampler(args)
     fam = Family(args.family)
-    v = membership(f, fam, 0.0, sampler=sampler, tol=args.tol)
-    refined = order_estimate(f, fam, sampler=sampler)
+    field = GridField(f, _sampler(args))
+    v = field.verdict(fam, 0.0, args.tol)
+    refined = field.order_estimate(fam)
     lines = [
         f"family {fam.value}",
         f"order estimate: {refined:.9g}",
@@ -299,15 +299,13 @@ def _cmd_factor_check(args, t0):
 
 def _cmd_theorem(args, t0):
     sampler = _sampler(args)
+    f, text = _source_expr(args)
     if args.check == "sufficiency":
-        f, text = _source_expr(args)
         rep = verify_sufficiency(f, _q_from_args(args), args.alpha, sampler=sampler,
                                  tol=args.tol)
     elif args.check == "duality":
-        f, text = _source_expr(args)
         rep = verify_duality(f, args.alpha, sampler=sampler, tol=args.tol)
     else:
-        f, text = _source_expr(args)
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
         rep = verify_inclusions(f, alphas, sampler=sampler, tol=args.tol)
     lines = [f"check: {rep.check_id}", f"subject: {rep.subject}"]
@@ -335,23 +333,15 @@ def _cmd_sharpness(args, t0):
         f"{res.limit_estimate:.9g}",
         f"infimum of x y'/y on the span: {res.min_ratio:.9g} at x = {res.argmin_x:.9f}",
         f"certified floor beta + (1-beta)/(n+2): {res.floor:.9g}",
+        "no x0 with x y'/y <= beta in the span (the construction tightens only as n grows)",
     ]
-    if res.found:
-        lines.append(
-            f"found x0 = {res.x0:.9f}: ratio {res.ratio_at_x0:.9g}, "
-            f"convexity value {res.convexity_value:.9g}"
-        )
-        wit = _witness(res.x0, 0.0, res.ratio_at_x0)
-    else:
-        lines.append("no x0 with x y'/y <= beta in the span "
-                     "(the construction tightens only as n grows)")
-        wit = _witness(res.argmin_x, 0.0, res.min_ratio)
     # the gap to beta at the boundary; min_ratio at x = 1 - eps_end overstates it
     boundary = res.min_ratio if math.isnan(res.limit_estimate) else res.limit_estimate
     _emit(
         args, "sharpness",
         {"n": args.n, "beta": args.beta, "eps_end": args.eps_end, "seed": args.seed},
-        {"holds": res.found, "margin": boundary - res.beta, "witness": wit},
+        {"holds": res.found, "margin": boundary - res.beta,
+         "witness": _witness(res.argmin_x, 0.0, res.min_ratio)},
         {"tol": args.tol}, t0, lines,
     )
     return 0 if res.found else 1

@@ -32,7 +32,8 @@ from .errors import (
     UnivalenceNotChecked,
 )
 from .expressions import FunctionExpr
-from .numerics import golden_min, quasi_random_disk
+from .jets import Jet3
+from .numerics import finite_samples, golden_min, quasi_random_disk
 
 _TINY = 1e-13
 
@@ -127,6 +128,25 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _functional(family: Family, z, jet: Jet3):
+    """The family formula from a jet of f at z; NaN where it is undefined."""
+    v0, v1, v2 = jet.v0, jet.v1, jet.v2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if family is Family.C:
+            val = np.real(1.0 + z * v2 / v1)
+        elif family is Family.SSTAR:
+            val = np.real(z * v1 / v0)
+        elif family is Family.BC:
+            val = -np.real(1.0 + z * v2 / v1)
+        elif family is Family.BSSTAR:
+            val = -np.real(z * v1 / v0)
+        else:
+            val = np.real(1.0 + z * v2 / v1 - 2.0 * z * v1 / v0)
+        if np.ndim(z) and family in B_FAMILIES:
+            val = np.where(np.asarray(z) == 0, 1.0, val)
+    return val
+
+
 def functional_value(f: FunctionExpr, family: Family, z):
     """The defining functional of ``family`` for f at z (scalar or array).
 
@@ -139,44 +159,115 @@ def functional_value(f: FunctionExpr, family: Family, z):
     if scalar and complex(z) == 0 and family in B_FAMILIES:
         return 1.0
     jet = f.jet(z)
-    v0, v1, v2 = jet.v0, jet.v1, jet.v2
-
-    if scalar and family in (Family.C, Family.BC, Family.BCI) and abs(v1) < _TINY:
+    if scalar and family in (Family.C, Family.BC, Family.BCI) and abs(jet.v1) < _TINY:
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if scalar and family in (Family.SSTAR, Family.BSSTAR, Family.BCI) and abs(v0) < _TINY:
+    if scalar and family in (Family.SSTAR, Family.BSSTAR, Family.BCI) and abs(jet.v0) < _TINY:
         raise DivisionAtZero(f"f({z}) = 0 to tolerance")
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is Family.C:
-            val = np.real(1.0 + z * v2 / v1)
-        elif family is Family.SSTAR:
-            val = np.real(z * v1 / v0)
-        elif family is Family.BC:
-            val = -np.real(1.0 + z * v2 / v1)
-        elif family is Family.BSSTAR:
-            val = -np.real(z * v1 / v0)
-        else:
-            val = np.real(1.0 + z * v2 / v1 - 2.0 * z * v1 / v0)
-        if not scalar and family in B_FAMILIES:
-            val = np.where(np.asarray(z) == 0, 1.0, val)
+    val = _functional(family, z, jet)
     return float(val) if scalar else val
 
 
 def _worker_count() -> int:
-    env = os.environ.get("GFT_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    return max(1, int(os.environ.get("GFT_THREADS", "").strip() or 1))
 
 
-def _grid_values(f, family, pts):
+def _grid_jet(f: FunctionExpr, pts: np.ndarray) -> Jet3:
     workers = _worker_count()
     if workers <= 1 or pts.size < 4 * workers:
-        return functional_value(f, family, pts)
+        return f.jet(pts)
     chunks = np.array_split(pts, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: functional_value(f, family, c), chunks))
-    return np.concatenate(parts)
+        parts = list(pool.map(f.jet, chunks))
+    # a constant map has scalar jet components: broadcast them per chunk
+    return Jet3(*(
+        np.concatenate([np.broadcast_to(v, c.shape) for v, c in zip(vals, chunks)])
+        for vals in zip(*((p.v0, p.v1, p.v2, p.v3) for p in parts))
+    ))
+
+
+def _safe_scalar(f, family, z) -> float:
+    try:
+        v = functional_value(f, family, z)
+    except GftError:
+        return np.inf
+    return v if np.isfinite(v) else np.inf
+
+
+class GridField:
+    """One map evaluated once on one disk grid: the sampler's points and the
+    order-3 jet of f there, from which every verdict and order estimate on
+    this grid is read.  Only the golden polish evaluates f again, pointwise.
+    """
+
+    def __init__(self, f: FunctionExpr, sampler: DiskSampler = None):
+        self.f = f
+        self.sampler = sampler or DiskSampler()
+        self.points = self.sampler.points(f.singular_points, f.exclusion_radius)
+        self.jet = _grid_jet(f, self.points)
+
+    def verdict(self, family: Family, alpha: float, tol: float = 1e-6) -> FamilyVerdict:
+        """Sampled verdict on this grid; see ``membership``."""
+        family = Family(family)
+        alpha = _check_alpha(alpha)
+        if family is Family.BCI:
+            warnings.warn(
+                "inverse-convex membership samples the inequality only; "
+                "univalence of the input is assumed",
+                UnivalenceNotChecked,
+                stacklevel=2,
+            )
+        vals = _functional(family, self.points, self.jet)
+        finite = finite_samples(vals, "grid points")
+        skipped = int(vals.size - np.count_nonzero(finite))
+        vals, pts = vals[finite], self.points[finite]
+        if family in B_FAMILIES:
+            # removable limit at the origin pole
+            vals = np.append(vals, 1.0)
+            pts = np.append(pts, 0.0 + 0.0j)
+        i = int(np.argmin(vals))
+        vmin = float(vals[i])
+        margin = vmin - alpha
+        return FamilyVerdict(
+            family=family,
+            alpha=alpha,
+            holds_on_samples=bool(margin >= -tol),
+            margin=margin,
+            witness=complex(pts[i]),
+            witness_value=vmin,
+            order_estimate=float(np.clip(vmin, 0.0, 1.0)),
+            samples_evaluated=int(vals.size),
+            samples_skipped=skipped,
+            tol=tol,
+        )
+
+    def order_estimate(self, family: Family) -> float:
+        """Polished order estimate on this grid; see ``order_estimate``."""
+        family = Family(family)
+        f, sampler, pts = self.f, self.sampler, self.points
+        vals = _functional(family, pts, self.jet)
+        finite = np.isfinite(vals)
+        if not finite.any():
+            raise EvaluationFailed("no grid point evaluated to a finite functional value")
+        i = int(np.argmin(np.where(finite, vals, np.inf)))
+        best = float(vals[i])
+        r_w, th_w = abs(pts[i]), np.angle(pts[i])
+
+        dth = 2.0 * np.pi / sampler.points_per_ring
+        th, v_th = golden_min(
+            lambda t: _safe_scalar(f, family, r_w * np.exp(1j * t)), th_w - dth, th_w + dth
+        )
+        if v_th < best:
+            best, th_w = v_th, th
+
+        radii = sampler.radii()
+        k = int(np.argmin(np.abs(radii - r_w)))
+        r_lo = radii[k - 1] if k > 0 else max(sampler.exclusion_radius, f.exclusion_radius)
+        r_hi = radii[k + 1] if k + 1 < radii.size else sampler.r_max
+        _, v_r = golden_min(
+            lambda r: _safe_scalar(f, family, r * np.exp(1j * th_w)), r_lo, r_hi
+        )
+        best = min(best, v_r)
+        return float(np.clip(best, 0.0, 1.0))
 
 
 def membership(
@@ -192,52 +283,7 @@ def membership(
     not declared) up to 1% of the grid; beyond that the grid is judged
     unusable and EvaluationFailed is raised.
     """
-    family = Family(family)
-    alpha = _check_alpha(alpha)
-    sampler = sampler or DiskSampler()
-    if family is Family.BCI:
-        warnings.warn(
-            "inverse-convex membership samples the inequality only; "
-            "univalence of the input is assumed",
-            UnivalenceNotChecked,
-            stacklevel=2,
-        )
-    pts = sampler.points(f.singular_points, f.exclusion_radius)
-    vals = _grid_values(f, family, pts)
-    finite = np.isfinite(vals)
-    skipped = int(pts.size - np.count_nonzero(finite))
-    if skipped > 0.01 * pts.size:
-        raise EvaluationFailed(
-            f"{skipped} of {pts.size} grid points failed to evaluate (> 1%)"
-        )
-    vals, pts = vals[finite], pts[finite]
-    if family in B_FAMILIES:
-        # removable limit at the origin pole
-        vals = np.append(vals, 1.0)
-        pts = np.append(pts, 0.0 + 0.0j)
-    i = int(np.argmin(vals))
-    vmin = float(vals[i])
-    margin = vmin - alpha
-    return FamilyVerdict(
-        family=family,
-        alpha=alpha,
-        holds_on_samples=bool(margin >= -tol),
-        margin=margin,
-        witness=complex(pts[i]),
-        witness_value=vmin,
-        order_estimate=float(np.clip(vmin, 0.0, 1.0)),
-        samples_evaluated=int(vals.size),
-        samples_skipped=skipped,
-        tol=tol,
-    )
-
-
-def _safe_scalar(f, family, z) -> float:
-    try:
-        v = functional_value(f, family, z)
-    except GftError:
-        return np.inf
-    return v if np.isfinite(v) else np.inf
+    return GridField(f, sampler).verdict(family, alpha, tol)
 
 
 def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None) -> float:
@@ -247,33 +293,7 @@ def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None)
     in angle then in radius, so the estimate does not depend on the grid
     lining up with the true argmin.
     """
-    family = Family(family)
-    sampler = sampler or DiskSampler()
-    pts = sampler.points(f.singular_points, f.exclusion_radius)
-    vals = _grid_values(f, family, pts)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise EvaluationFailed("no grid point evaluated to a finite functional value")
-    i = int(np.argmin(np.where(finite, vals, np.inf)))
-    best = float(vals[i])
-    r_w, th_w = abs(pts[i]), np.angle(pts[i])
-
-    dth = 2.0 * np.pi / sampler.points_per_ring
-    th, v_th = golden_min(
-        lambda t: _safe_scalar(f, family, r_w * np.exp(1j * t)), th_w - dth, th_w + dth
-    )
-    if v_th < best:
-        best, th_w = v_th, th
-
-    radii = sampler.radii()
-    k = int(np.argmin(np.abs(radii - r_w)))
-    r_lo = radii[k - 1] if k > 0 else max(sampler.exclusion_radius, f.exclusion_radius)
-    r_hi = radii[k + 1] if k + 1 < radii.size else sampler.r_max
-    _, v_r = golden_min(
-        lambda r: _safe_scalar(f, family, r * np.exp(1j * th_w)), r_lo, r_hi
-    )
-    best = min(best, v_r)
-    return float(np.clip(best, 0.0, 1.0))
+    return GridField(f, sampler).order_estimate(family)
 
 
 def injectivity_spot_check(

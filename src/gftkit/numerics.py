@@ -1,11 +1,13 @@
 """Small numerical kernels: bracketed root finding, golden-section search,
-Richardson extrapolation, and deterministic quasi-random disk points."""
+Richardson extrapolation, quasi-random disk points, the 1% non-finite rule."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import EvaluationFailed
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -33,6 +35,16 @@ def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> 
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def finite_samples(vals, what: str) -> np.ndarray:
+    """Mask of the finite entries of ``vals``; more than 1% non-finite
+    samples make the sample set unusable and raise EvaluationFailed."""
+    finite = np.isfinite(vals)
+    bad = int(finite.size - np.count_nonzero(finite))
+    if bad > 0.01 * finite.size:
+        raise EvaluationFailed(f"{bad} of {finite.size} {what} failed to evaluate (> 1%)")
+    return finite
 
 
 def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):

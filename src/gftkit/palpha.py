@@ -327,13 +327,12 @@ class SharpnessResult:
     """Search for a convexity breakdown point of the monomial coefficient
     q(x) = (1-beta)(n+1) x^n.
 
-    ``found`` reports whether some x0 in the integration span had
-    x0 y'(x0)/y(x0) <= beta (equivalently, reconstructed convexity value
-    1 - 2 x y'/y >= 1 - 2 beta); the infimum diagnostics are always
-    recorded.
+    ``found`` and ``x0``, ``ratio_at_x0``, ``convexity_value`` would report
+    an x0 in the span with x0 y'(x0)/y(x0) <= beta (convexity value
+    1 - 2 x y'/y >= 1 - 2 beta); the infimum diagnostics are always recorded.
 
-    For this coefficient ``found`` is always False, for every n: q >= 0
-    gives y <= x and a decreasing y', so on all of [0, 1]
+    No such x0 exists, for any n, so ``found`` is always False and the x0
+    fields are None: q >= 0 gives y <= x and a decreasing y', so y > 0 and
 
         x y'/y >= y'(1) >= 1 - int_0^1 q(x) x dx = beta + (1-beta)/(n+2),
 
@@ -370,29 +369,10 @@ def sharpness_construct(
     q = QFunction.from_expression(f"{coeff!r}*x^{int(n)}")
     sol = integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
 
+    # no crossing to search for: y >= floor * x > 0 and x y'/y >= floor > beta
     xs = sol.nodes[1:]
-    ys, yps = sol.y[1:], sol.yp[1:]
-    stop = np.nonzero(ys <= 0.0)[0]
-    if stop.size:  # ratio plunges to -inf before the zero; keep the prefix
-        xs, ys, yps = xs[: stop[0]], ys[: stop[0]], yps[: stop[0]]
-    ratios = xs * yps / ys
+    ratios = xs * sol.yp[1:] / sol.y[1:]
     i_min = int(np.argmin(ratios))
-    hits = np.nonzero(ratios <= beta)[0]
-
-    found = hits.size > 0 or stop.size > 0
-    if hits.size:
-        j = int(hits[0])
-        x0, rat = float(xs[j]), float(ratios[j])
-    elif stop.size:
-        # y hit zero: the ratio crosses every level on the way down
-        lo = xs[-1] if xs.size else sol.nodes[0]
-        hi = sol.nodes[int(stop[0]) + 1]
-        x0 = float(
-            bisect(lambda x: x * sol.log_slope(x) - beta, lo, hi, xtol=1e-12)
-        )
-        rat = float(x0 * sol.log_slope(x0))
-    else:
-        x0, rat = None, None
 
     # boundary limit for the diagnostics; tolerate a non-settling ladder
     try:
@@ -404,12 +384,12 @@ def sharpness_construct(
         n=int(n),
         beta=float(beta),
         q=q,
-        found=bool(found),
-        x0=x0,
-        ratio_at_x0=rat,
-        convexity_value=None if rat is None else 1.0 - 2.0 * rat,
-        min_ratio=float(ratios[i_min]) if ratios.size else math.nan,
-        argmin_x=float(xs[i_min]) if ratios.size else math.nan,
+        found=False,
+        x0=None,
+        ratio_at_x0=None,
+        convexity_value=None,
+        min_ratio=float(ratios[i_min]),
+        argmin_x=float(xs[i_min]),
         limit_estimate=limit,
         eps_end=eps_end,
         floor=float(beta) + (1.0 - beta) / (n + 2),

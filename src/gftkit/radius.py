@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GftError
 from .expressions import FunctionExpr
 from .families import DiskSampler, Family, FamilyVerdict, functional_value, membership
-from .numerics import bisect
+from .numerics import bisect, finite_samples
 
 
 def radius_polynomial(alpha: float, x):
@@ -97,14 +96,12 @@ def rotation_witness(
     alpha.  (For these rotations that functional equals the functional of
     g at radius * e^{i tau}, so the scan is a ring sweep in disguise, but
     the verdict is stated in rotation form because the radius statement
-    is sharp only up to rotation.)
+    is sharp only up to rotation.)  Over 1% NaN on the ring raises EvaluationFailed.
     """
     taus = 2.0 * np.pi * np.arange(int(n_rotations)) / int(n_rotations)
-    best_tau, best_val = 0.0, np.inf
     ring = float(radius) * np.exp(1j * taus)
     vals = functional_value(g, Family.BCI, ring)
-    finite = np.isfinite(vals)
-    if finite.any():
-        i = int(np.argmin(np.where(finite, vals, np.inf)))
-        best_tau, best_val = float(taus[i]), float(vals[i])
-    return RotationWitness(tau=best_tau, value=best_val, violates=bool(best_val < alpha - tol))
+    finite = finite_samples(vals, "ring points")
+    i = int(np.argmin(np.where(finite, vals, np.inf)))
+    value = float(vals[i])
+    return RotationWitness(tau=float(taus[i]), value=value, violates=bool(value < alpha - tol))

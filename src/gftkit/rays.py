@@ -24,7 +24,7 @@ error within the unscaled tolerances, and one ray sees no change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import EvaluationFailed, GftError, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
-from .numerics import golden_max
+from .jets import Jet3
+from .numerics import finite_samples, golden_max
 
 _TINY = 1e-13
 
@@ -31,10 +32,15 @@ def schwarzian(f: FunctionExpr, z):
     scalar = np.ndim(z) == 0
     if scalar and abs(jet.v1) < _TINY:
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
+    s = schwarzian_of_jet(jet)
+    return complex(s) if scalar else s
+
+
+def schwarzian_of_jet(jet: Jet3):
+    """S_f from a jet of f; NaN (no raise) where f' = 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = jet.v2 / jet.v1
-        s = jet.v3 / jet.v1 - 1.5 * w * w
-    return complex(s) if scalar else s
+        return jet.v3 / jet.v1 - 1.5 * w * w
 
 
 def pre_schwarzian(f: FunctionExpr, z):
@@ -85,12 +91,8 @@ def schwarzian_norm(
     for s in f.singular_points:
         z = z[np.abs(z - complex(s)) >= f.exclusion_radius]
     vals = weighted_modulus(f, z)
-    finite = np.isfinite(vals)
+    finite = finite_samples(vals, "norm grid points")
     skipped = int(vals.size - np.count_nonzero(finite))
-    if skipped > 0.01 * vals.size:
-        raise EvaluationFailed(
-            f"{skipped} of {vals.size} norm grid points failed to evaluate (> 1%)"
-        )
     i = int(np.argmax(np.where(finite, vals, -np.inf)))
     best, r_w, th_w = float(vals[i]), float(np.abs(z[i])), float(np.angle(z[i]))
 

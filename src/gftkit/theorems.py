@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationFailed
 from .expressions import FunctionExpr, parse, var_expr
-from .families import DiskSampler, Family, membership, order_estimate, functional_value
+from .families import DiskSampler, Family, GridField, membership, order_estimate
+from .numerics import finite_samples
 from .palpha import QFunction, check_palpha
-from .schwarzian import schwarzian
+from .schwarzian import schwarzian_of_jet
 
 CHECK_IDS = ("sufficiency", "duality", "inclusions")
 
@@ -69,13 +69,10 @@ def verify_sufficiency(
     """Hypotheses: |S_f(z)| <= 2 q(|z|) on the sampled disk, and q lies in
     the positivity class of order (1+alpha)/2.  Conclusion: f is
     pole-normalized convex of order alpha on the same grid."""
-    sampler = sampler or DiskSampler()
-    pts = sampler.points(f.singular_points, f.exclusion_radius)
-    s = schwarzian(f, pts)
-    finite = np.isfinite(s)
-    if pts.size - np.count_nonzero(finite) > 0.01 * pts.size:
-        raise EvaluationFailed("more than 1% of Schwarzian samples failed")
-    gap = np.abs(s[finite]) - 2.0 * q(np.abs(pts[finite]))
+    field = GridField(f, sampler)
+    s = schwarzian_of_jet(field.jet)
+    finite = finite_samples(s, "Schwarzian samples")
+    gap = np.abs(s[finite]) - 2.0 * q(np.abs(field.points[finite]))
     dom_margin = float(np.max(gap))
     dominated = dom_margin <= dominance_tol
 
@@ -83,7 +80,7 @@ def verify_sufficiency(
     pv = check_palpha(q, target, tol=tol)
     q_margin = pv.limit_estimate - target
 
-    concl = membership(f, Family.BC, alpha, sampler=sampler, tol=tol)
+    concl = field.verdict(Family.BC, alpha, tol)
 
     items = (
         CheckItem(
@@ -122,7 +119,6 @@ def verify_duality(
 ) -> TheoremReport:
     """Equivalence check: inverse-convex verdict for g against the
     pole-normalized starlike verdict for h = 1/(z (1/g)')."""
-    sampler = sampler or DiskSampler()
     h = dual_transform(g)
     vg = membership(g, Family.BCI, alpha, sampler=sampler, tol=tol)
     vh = membership(h, Family.BSSTAR, alpha, sampler=sampler, tol=tol)
@@ -163,9 +159,9 @@ def verify_inclusions(
     member is pole-normalized starlike of order 0, and the containment is
     proper, witnessed by z + 1/z - 2.
     """
-    sampler = sampler or DiskSampler()
+    field = GridField(g, sampler)
     alphas = tuple(sorted(float(a) for a in alphas))
-    verdicts = [membership(g, Family.BCI, a, sampler=sampler, tol=tol) for a in alphas]
+    verdicts = [field.verdict(Family.BCI, a, tol) for a in alphas]
     holds = [v.holds_on_samples for v in verdicts]
     nested = all(holds[i] or not holds[i + 1] for i in range(len(holds) - 1))
     nest_item = CheckItem(
@@ -175,7 +171,8 @@ def verify_inclusions(
         " ".join(f"alpha={a}:{'ok' if h else 'fail'}" for a, h in zip(alphas, holds)),
     )
 
-    base = order_estimate(g, Family.BCI, sampler=sampler)
+    base = field.order_estimate(Family.BCI)
+    # 2g and ig get their own grid evaluations: scale invariance is under test
     drift = max(
         abs(order_estimate(lam * g, Family.BCI, sampler=sampler) - base)
         for lam in (2.0, 1j)
@@ -187,12 +184,12 @@ def verify_inclusions(
         f"order {base:.9f}, worst drift {drift:.3e} under lam in {{2, i}}",
     )
 
-    bs0 = membership(g, Family.BSSTAR, 0.0, sampler=sampler, tol=tol)
+    bs0 = field.verdict(Family.BSSTAR, 0.0, tol)
     member_anywhere = any(holds)
     containment_ok = bs0.holds_on_samples or not member_anywhere
-    wit = parse(_WITNESS_TEXT, singular_points=(0,))
-    wit_bs = membership(wit, Family.BSSTAR, 0.0, sampler=sampler, tol=tol)
-    wit_bci = membership(wit, Family.BCI, 0.0, sampler=sampler, tol=tol)
+    wit = GridField(parse(_WITNESS_TEXT, singular_points=(0,)), sampler)
+    wit_bs = wit.verdict(Family.BSSTAR, 0.0, tol)
+    wit_bci = wit.verdict(Family.BCI, 0.0, tol)
     proper = wit_bs.holds_on_samples and not wit_bci.holds_on_samples
     contain_item = CheckItem(
         "contained_in_starlike0",

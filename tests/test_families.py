@@ -1,18 +1,26 @@
 """Family functionals, disk sampling, and membership verdicts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gftkit import (
     DiskSampler,
     Family,
+    FunctionExpr,
+    QFunction,
     functional_value,
     injectivity_spot_check,
     membership,
     order_estimate,
     parse,
+    verify_inclusions,
+    verify_sufficiency,
 )
 from gftkit.catalog import get_entry
+from gftkit.cli import main
+from gftkit.families import GridField
 from gftkit.errors import (
     DivisionAtZero,
     EvaluationFailed,
@@ -142,9 +150,14 @@ def test_verdict_records_sampling_accounting():
     assert v.tol == 1e-6
 
 
-def test_constant_map_fails_loudly():
+def test_constant_map_fails_loudly(monkeypatch):
     with pytest.raises(EvaluationFailed):
         membership(parse("3 + 0*z"), Family.C, 0.0)
+    # a bare constant has scalar jet components, also on a split grid
+    monkeypatch.setenv("GFT_THREADS", "2")
+    for text in ("3 + 0*z", "3"):
+        with pytest.raises(EvaluationFailed):
+            membership(parse(text), Family.C, 0.0)
 
 
 def test_inverse_convex_verdict_warns_univalence_unchecked():
@@ -188,6 +201,52 @@ def test_thread_count_does_not_change_the_verdict(monkeypatch):
     assert threaded.margin == base.margin
     assert threaded.witness == base.witness
     assert threaded.samples_evaluated == base.samples_evaluated
+
+    # one field per map and grid agrees with fresh calls, at any thread count
+    s = DiskSampler(rings=16, points_per_ring=128)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GFT_THREADS", threads)
+        field = GridField(f, s)
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnivalenceNotChecked)
+            for fam in Family:
+                for a in (0.0, 0.4):
+                    v = field.verdict(fam, a, 1e-6)
+                    assert v == membership(f, fam, a, sampler=s, tol=1e-6)
+                    results.append(v)
+                est = field.order_estimate(fam)
+                assert est == order_estimate(f, fam, sampler=s)
+                results.append(est)
+        runs.append(results)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+def test_each_map_is_evaluated_once_per_grid(monkeypatch, capsys):
+    grid_calls = []
+    jet = FunctionExpr.jet
+
+    def counting_jet(self, z):
+        if np.ndim(z):
+            grid_calls.append(str(self))
+        return jet(self, z)
+
+    def count(run):
+        grid_calls.clear()
+        run()
+        return len(grid_calls)
+
+    monkeypatch.setattr(FunctionExpr, "jet", counting_jet)
+    s = DiskSampler(rings=16, points_per_ring=128)
+    g = get_entry("koebe_reciprocal").expr
+    f = get_entry("quarter_pole").expr
+    # g, 2g, ig and the witness z + 1/z - 2
+    assert count(lambda: verify_inclusions(g, (0.1, 0.25, 0.4), sampler=s)) == 4
+    assert count(lambda: verify_sufficiency(f, QFunction.constant(1.0), 0.0, sampler=s)) == 1
+    assert count(lambda: main(["order", "--catalog", "quarter_pole", "--family", "bc",
+                               "--rings", "16", "--points", "128"])) == 1
 
 
 def test_injectivity_spot_check_is_a_coarse_screen():

@@ -7,10 +7,12 @@ import pytest
 
 from gftkit import (
     catalog,
+    parse,
     radius_inverse_convexity,
     rotation_witness,
     verify_radius,
 )
+from gftkit.errors import EvaluationFailed
 from gftkit.families import DiskSampler
 from gftkit.radius import radius_polynomial
 
@@ -103,3 +105,10 @@ def test_rotation_witness_reports_the_ring_minimum():
     expected = (1.0 + r * r - 4.0 * r) / (1.0 - r * r)
     assert w.value == pytest.approx(expected, abs=1e-12)
     assert w.violates
+
+
+def test_rotation_witness_refuses_a_ring_with_no_finite_value():
+    # f' = 0 everywhere: the functional is NaN on the whole ring, which must
+    # not pass as "no rotation violates" with value inf
+    with pytest.raises(EvaluationFailed):
+        rotation_witness(parse("2 + 0*z"), 0.5, 0.3)
