@@ -434,7 +434,11 @@ class FunctionExpr:
     exclusion_radius: float = 1e-3
 
     def jet(self, z) -> Jet3:
-        return self.root.eval(jets.variable(z))
+        if np.ndim(z) == 0:
+            return self.root.eval(jets.variable(z))
+        # arrays NaN-mask overflow and singular hits; numpy need not warn
+        with np.errstate(all="ignore"):
+            return self.root.eval(jets.variable(z))
 
     def value(self, z):
         return self.jet(z).v0

@@ -245,7 +245,7 @@ class GridField:
         family = Family(family)
         f, sampler, pts = self.f, self.sampler, self.points
         vals = _functional(family, pts, self.jet)
-        finite = np.isfinite(vals)
+        finite = finite_samples(vals, "grid points")
         if not finite.any():
             raise EvaluationFailed("no grid point evaluated to a finite functional value")
         i = int(np.argmin(np.where(finite, vals, np.inf)))
@@ -291,7 +291,8 @@ def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None)
 
     Grid minimum plus a golden-section polish of the extremal ring, first
     in angle then in radius, so the estimate does not depend on the grid
-    lining up with the true argmin.
+    lining up with the true argmin.  The grid must pass the same 1% rule
+    as ``membership``: EvaluationFailed otherwise.
     """
     return GridField(f, sampler).order_estimate(family)
 

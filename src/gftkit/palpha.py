@@ -9,6 +9,8 @@ of (1 - x) there.
 
 Everything downstream (Schwarzian sufficiency, sharpness probes) reduces
 to this one ODE, so the integrator settings here are deliberately tight.
+The solve stops at the first zero of y: no caller uses y past it, and
+for large q it would pay for every later oscillation.
 
 scipy.integrate is imported inside integrate_ivp and integrate_q (and
 rays._solve_rays), on first use: it is most of the package's import
@@ -44,14 +46,18 @@ class QFunction:
 
     Calls validate nonnegativity on every evaluated batch: a value below
     -1e-12 raises NonnegativityViolated, values inside the roundoff band
-    clamp to zero.  An expression is screened once, at construction, on
-    fixed probe points in (0, 1): ValueError if q takes a complex value
-    there (|Im q| > 1e-12 max(1, |Re q|); non-finite values are skipped).
+    clamp to zero, NaN passes through.  A scalar x takes a float-only path
+    with the same checks and results (the ODE right-hand side and quad
+    call q one point at a time).  An expression is screened once, at
+    construction, on fixed probe points in (0, 1): ValueError if q takes a
+    complex value there (|Im q| > 1e-12 max(1, |Re q|); non-finite values
+    are skipped).
     """
 
     kind: str
     label: str
     _fn: object = field(repr=False, compare=False)
+    _knots: object = field(default=None, repr=False, compare=False)  # a table's abscissae
 
     @classmethod
     def constant(cls, c: float) -> "QFunction":
@@ -91,20 +97,29 @@ class QFunction:
         if vs.min() < _NEG_TOL:
             raise NonnegativityViolated(f"sampled q dips to {vs.min()}")
         label = f"samples[{xs.size}] on [{xs[0]:g}, {xs[-1]:g}]"
-        return cls("samples", label, lambda x: np.interp(np.asarray(x, float), xs, vs))
+        return cls("samples", label, lambda x: np.interp(np.asarray(x, float), xs, vs), xs)
 
     def __call__(self, x):
+        if np.ndim(x) == 0:
+            v = float(self._fn(x))
+            if v < _NEG_TOL:
+                raise NonnegativityViolated(f"q({x}) = {v} < 0")
+            return v if v > 0.0 or v != v else 0.0  # as np.maximum: NaN stays, -0.0 -> 0.0
         v = self._fn(x)
         vmin = float(np.min(v))
         if vmin < _NEG_TOL:
-            raise NonnegativityViolated(f"q({x if np.ndim(x) == 0 else '...'}) = {vmin} < 0")
-        v = np.maximum(v, 0.0)
-        return float(v) if np.ndim(x) == 0 else v
+            raise NonnegativityViolated(f"q(...) = {vmin} < 0")
+        return np.maximum(v, 0.0)
 
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Dense base solution of y'' + q y = 0, y(0) = 0, y'(0) = 1."""
+    """Dense base solution of y'' + q y = 0, y(0) = 0, y'(0) = 1.
+
+    The solve ends at 1 - eps_end, or earlier at ``first_zero``, the first
+    x > 0 with y = 0 (None when y stays positive).  ``nodes`` are the
+    reporting nodes up to that end; ``at`` refuses points past it.
+    """
 
     nodes: np.ndarray
     y: np.ndarray
@@ -112,11 +127,18 @@ class OdeSolution:
     eps_end: float
     rel_tol: float
     n_rhs: int
+    first_zero: object  # float or None
     dense: object = field(repr=False, compare=False)
 
     def at(self, x):
-        """(y, y') anywhere in [0, 1 - eps_end], from the dense interpolant."""
-        out = self.dense(np.asarray(x, dtype=float))
+        """(y, y') anywhere in [0, end], end = first_zero or 1 - eps_end,
+        from the dense interpolant; ValueError outside, where it would
+        silently extrapolate."""
+        x_arr = np.asarray(x, dtype=float)
+        end = 1.0 - self.eps_end if self.first_zero is None else self.first_zero
+        if np.any((x_arr < 0.0) | (x_arr > end)):
+            raise ValueError(f"x outside the solved span [0, {end!r}]")
+        out = self.dense(x_arr)
         if np.ndim(x) == 0:
             return float(out[0]), float(out[1])
         return out[0], out[1]
@@ -132,13 +154,17 @@ def integrate_ivp(
     rel_tol: float = 1e-10,
     max_step: float = np.inf,
 ) -> OdeSolution:
-    """Integrate the base solution out to x = 1 - eps_end.
+    """Integrate the base solution out to x = 1 - eps_end, or to the first
+    zero of y if that comes first.
 
-    Fixed reporting nodes (>= 512, geometrically clustered at the right
-    end) make downstream scans reproducible; the dense interpolant covers
-    everything in between.  Cap ``max_step`` when downstream math
-    differentiates the dense output (the free interpolant loses accuracy
-    on very long steps).
+    The zero is a terminal event on y (direction -1), located on the
+    dense interpolant to roundoff and reported as ``first_zero``; the
+    event does not change the steps, so a positive solution is the same
+    as without it.  Fixed reporting nodes (>= 512 on the full span,
+    geometrically clustered at the right end) make downstream scans
+    reproducible; the dense interpolant covers everything in between.
+    Cap ``max_step`` when downstream math differentiates the dense output
+    (the free interpolant loses accuracy on very long steps).
     """
     if not (1e-8 <= eps_end <= 1e-2):
         raise ValueError(f"eps_end must lie in [1e-8, 1e-2], got {eps_end}")
@@ -154,6 +180,12 @@ def integrate_ivp(
     def rhs(x, s):
         return (s[1], -q(x) * s[0])
 
+    def y_vanishes(x, s):
+        return s[0]
+
+    y_vanishes.terminal = True
+    y_vanishes.direction = -1.0  # y(0) = 0 on the way up is no event
+
     sol = solve_ivp(
         rhs,
         (0.0, x_end),
@@ -163,10 +195,12 @@ def integrate_ivp(
         atol=1e-14,
         dense_output=True,
         t_eval=nodes,
+        events=y_vanishes,
         max_step=max_step,
     )
     if not sol.success:
         raise StepSizeUnderflow(f"integrator stopped: {sol.message}")
+    zeros = sol.t_events[0]
     return OdeSolution(
         nodes=sol.t,
         y=sol.y[0],
@@ -174,6 +208,7 @@ def integrate_ivp(
         eps_end=eps_end,
         rel_tol=rel_tol,
         n_rhs=int(sol.nfev),
+        first_zero=float(zeros[0]) if zeros.size else None,
         dense=sol.sol,
     )
 
@@ -207,27 +242,16 @@ def check_palpha(
 ) -> PalphaVerdict:
     """Membership verdict for the positivity class of order alpha.
 
-    Positivity is scanned on the reporting nodes and the first zero (if
-    any) is bisected out of the dense solution.  The boundary limit of
-    y'/y is extrapolated from the ladder x_k = 1 - 2^-k, k = 7..20 (or as
-    far as eps_end allows); ExtrapolationDiverged carries the raw tail if
-    the last three extrapolants disagree beyond 1e-5.
+    Positivity and the first zero (if any) come from the solve itself,
+    which stops there (see integrate_ivp).  The boundary limit of y'/y is
+    extrapolated from the ladder x_k = 1 - 2^-k, k = 7..20 (or as far as
+    eps_end allows); ExtrapolationDiverged carries the raw tail if the
+    last three extrapolants disagree beyond 1e-5.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     sol = integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
-
-    first_zero = None
-    inner = sol.nodes[1:]
-    ys = sol.y[1:]
-    bad = np.nonzero(ys <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        lo = sol.nodes[i]  # ys index i corresponds to nodes index i+1
-        hi = inner[i]
-        first_zero = bisect(lambda x: sol.at(x)[0], lo, hi, xtol=1e-12)
-
-    positive = first_zero is None
+    positive = sol.first_zero is None
     limit = math.nan
     extrapolants = ()
     raw = ()
@@ -252,7 +276,7 @@ def check_palpha(
         alpha=alpha,
         member=member,
         positive_on_01=positive,
-        first_zero=first_zero,
+        first_zero=sol.first_zero,
         limit_estimate=limit,
         extrapolants=extrapolants,
         raw_tail=raw,
@@ -263,14 +287,22 @@ def check_palpha(
 
 
 def integrate_q(q: QFunction, abs_tol: float = 1e-10) -> float:
-    """Integral of q over [0, 1), adaptive with geometric end segments.
+    """Integral of q over [0, 1).
 
-    [0, 1/2] in one adaptive pass, then segments [1-2^-k, 1-2^-(k-1)]
-    marching toward 1 until two consecutive segments have decayed below
-    the cutoff; a single small segment is not enough, because weights
-    like (n+1) x^n hide their mass many halvings past 1/2.  Raises
-    QuadratureFailed if the segments have not decayed by k = 60.
+    A sample table is piecewise linear, with np.interp's constant ends
+    outside its knots, so its integral is the exact trapezoid sum over the
+    knots inside (0, 1) and the ends 0, 1.  Other q are adaptive with
+    geometric end segments: [0, 1/2] in one adaptive pass, then segments
+    [1-2^-k, 1-2^-(k-1)] marching toward 1 until two consecutive segments
+    have decayed below the cutoff; a single small segment is not enough,
+    because weights like (n+1) x^n hide their mass many halvings past 1/2.
+    Raises QuadratureFailed if the segments have not decayed by k = 60.
     """
+    if q._knots is not None:
+        xs = q._knots
+        pts = np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)], [1.0]])
+        return float(np.trapezoid(q(pts), pts))
+
     from scipy.integrate import quad
 
     total, _ = quad(q, 0.0, 0.5, epsabs=abs_tol / 10.0, epsrel=1e-12, limit=200)

@@ -275,6 +275,9 @@ class ReconstructedMap:
         self._x_hi = 1.0 - eps_end
 
     def _y_checked(self, x):
+        zero = self.solution.first_zero
+        if zero is not None and np.max(np.asarray(x)) >= zero:
+            raise YVanishes(f"base solution vanishes at x = {zero:.9g}, where 1/y^2 is needed")
         y, yp = self.solution.at(x)
         if np.min(np.asarray(y)) <= 0.0:
             raise YVanishes("base solution not positive where 1/y^2 is needed")

@@ -98,6 +98,20 @@ def test_evaluation_errors_exit_two(capsys):
                 + FAST) == 2  # sufficiency needs --q or --q-const
 
 
+def test_grid_overflow_reports_the_error_line_alone():
+    # the jets NaN-mask overflow; numpy's RuntimeWarnings must not reach stderr
+    src = os.path.dirname(os.path.dirname(gftkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "gftkit.cli", "classify", "--expr", "exp(1000*z)",
+         "--family", "sstar"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "default"},
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: 12396 of 32768 grid points failed to evaluate (> 1%)\n"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -160,6 +160,15 @@ def test_constant_map_fails_loudly(monkeypatch):
             membership(parse(text), Family.C, 0.0)
 
 
+def test_order_estimate_applies_the_one_percent_rule():
+    # exp(1000 z) overflows on ~38% of the grid: neither grid answer may use it
+    f = parse("exp(1000*z)")
+    with pytest.raises(EvaluationFailed, match="12396 of 32768 grid points"):
+        membership(f, Family.SSTAR, 0.0)
+    with pytest.raises(EvaluationFailed, match="12396 of 32768 grid points"):
+        order_estimate(f, Family.SSTAR)
+
+
 def test_inverse_convex_verdict_warns_univalence_unchecked():
     g = get_entry("inverse_log").expr
     with pytest.warns(UnivalenceNotChecked):

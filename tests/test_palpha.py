@@ -58,6 +58,26 @@ def test_nonnegativity_is_enforced():
     assert tiny(1.0) == 0.0
 
 
+def test_scalar_calls_match_the_array_path_bit_for_bit():
+    qs = [
+        QFunction.constant(2.5),
+        QFunction.from_expression("exp(x)*cos(3*x)^2"),
+        QFunction.from_expression("0 - 0.0000000000001*x"),  # roundoff band
+        QFunction.from_samples([0.0, 0.3, 1.0], [0.0, 1.7, 0.2]),
+    ]
+    for q in qs:
+        for x in (0.0, 0.1, 0.3, 0.77, 0.999999):
+            v = q(x)
+            assert type(v) is float
+            assert v == q(np.array([x]))[0]
+            assert math.copysign(1.0, v) == math.copysign(1.0, q(np.array([x]))[0])
+    # NaN passes through both paths as NaN
+    nan_q = QFunction.from_samples([0.0, 1.0], [math.nan, 1.0])
+    assert math.isnan(nan_q(0.5)) and math.isnan(nan_q(np.array([0.5]))[0])
+    with pytest.raises(NonnegativityViolated, match=r"q\(0\.2\) = -0\.3 < 0"):
+        QFunction.from_expression("x - 0.5")(0.2)
+
+
 def test_expression_variable_must_be_x():
     with pytest.raises(ValueError):
         QFunction.from_expression(__import__("gftkit").parse("z^2"))
@@ -101,6 +121,30 @@ def test_dense_output_and_log_slope():
         assert sol.log_slope(r) == pytest.approx(2 / math.tan(2 * r), abs=1e-8)
     assert sol.nodes[0] == 0.0 and sol.y[0] == 0.0 and sol.yp[0] == 1.0
     assert sol.nodes[-1] == pytest.approx(1.0 - sol.eps_end, abs=1e-15)
+    assert sol.first_zero is None
+
+
+def test_solve_stops_at_the_first_zero():
+    # y = sin(100 x)/100 vanishes at pi/100, between reporting nodes
+    sol = integrate_ivp(QFunction.constant(1e4))
+    zero = math.pi / 100.0
+    assert sol.first_zero == pytest.approx(zero, rel=1e-10)
+    assert sol.nodes[-1] < sol.first_zero
+    assert abs(sol.at(sol.first_zero)[0]) <= 1e-12
+    assert sol.at(0.01)[0] == pytest.approx(math.sin(1.0) / 100.0, rel=1e-9)
+
+
+def test_dense_output_refuses_points_past_the_stop():
+    # past the stop the interpolant extrapolates: at x = 0.5 it read 8.8e5,
+    # where y = sin(50)/100 < 0
+    sol = integrate_ivp(QFunction.constant(1e4))
+    for x in (0.5, sol.first_zero + 1e-9, np.array([0.01, 0.5]), -1e-3):
+        with pytest.raises(ValueError):
+            sol.at(x)
+    free = integrate_ivp(QFunction.constant(0.0))
+    assert free.at(1.0 - free.eps_end)[0] == pytest.approx(1.0 - free.eps_end, abs=1e-10)
+    with pytest.raises(ValueError):
+        free.at(1.0)
 
 
 # -- membership verdicts --------------------------------------------------------
@@ -125,6 +169,20 @@ def test_interior_zero_is_found():
     assert not v.positive_on_01 and not v.member
     assert v.first_zero == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert math.isnan(v.limit_estimate)
+
+
+@pytest.mark.parametrize("c", [1e4, 4e6, 1e7])
+def test_first_zero_of_a_large_constant_matches_the_closed_form(c):
+    # at 4e6 and 1e7 the zero pi/sqrt(c) falls before the first reporting node
+    v = check_palpha(QFunction.constant(c), 0.0)
+    assert not v.positive_on_01 and not v.member
+    assert v.first_zero == pytest.approx(math.pi / math.sqrt(c), rel=1e-10)
+
+
+def test_large_constant_stops_after_its_first_oscillation():
+    # the full span holds ~1000 half-periods at c = 1e7; only one is solved
+    v = check_palpha(QFunction.constant(1e7), 0.0)
+    assert v.n_rhs < 300
 
 
 def test_sturm_comparison_orders_the_first_zeros():
@@ -213,6 +271,27 @@ def test_integral_with_mass_concentrated_at_the_boundary():
     # at n = 200; the geometric end segments must pick all of it up
     q = QFunction.from_expression("201*x^200")
     assert integrate_q(q) == pytest.approx(1.0, abs=1e-9)
+
+
+def _trapezoid(xs, vs):
+    return sum((b - a) * (u + w) / 2.0 for a, b, u, w in zip(xs, xs[1:], vs, vs[1:]))
+
+
+def test_sample_table_integral_is_the_exact_trapezoid_sum():
+    # interior kinks: adaptive quadrature was off by 4e-12 on this table
+    xs = [0.0, 0.13, 0.29, 0.41, 0.58, 0.77, 0.9, 1.0]
+    vs = [0.4, 1.3, 0.02, 0.95, 0.1, 0.7, 1.9, 0.3]
+    assert abs(integrate_q(QFunction.from_samples(xs, vs)) - _trapezoid(xs, vs)) <= 1e-12
+
+
+def test_sample_table_integral_holds_the_end_values_outside_the_table():
+    # np.interp is constant beyond the end knots; the integral runs over [0, 1]
+    q = QFunction.from_samples([0.1, 0.3, 0.8], [0.5, 1.5, 0.25])
+    hand = 0.1 * 0.5 + _trapezoid([0.1, 0.3, 0.8], [0.5, 1.5, 0.25]) + 0.2 * 0.25
+    assert abs(integrate_q(q) - hand) <= 1e-12
+    # a table reaching past both ends is cut to [0, 1]
+    wide = QFunction.from_samples([-0.5, 0.5, 1.5], [0.0, 1.0, 0.0])
+    assert abs(integrate_q(wide) - _trapezoid([0.0, 0.5, 1.0], [0.5, 1.0, 0.5])) <= 1e-12
 
 
 # -- sharpness search -----------------------------------------------------------

@@ -174,6 +174,9 @@ def test_reconstruction_refuses_vanishing_base_solutions():
     rm = ReconstructedMap(QFunction.constant(16.0), omega=0.5)
     with pytest.raises(YVanishes):
         rm.f(0.9)  # y = sin(4x)/4 crosses zero at pi/4 < 0.9
+    # the solve stops at pi/100; x = 0.5 lies past it, where y = sin(50)/100 < 0
+    with pytest.raises(YVanishes):
+        ReconstructedMap(QFunction.constant(1e4), omega=0.01).fp(0.5)
     with pytest.raises(ValueError):
         ReconstructedMap(QFunction.constant(0.0), omega=1.5)
 
