@@ -12,6 +12,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog
-from .errors import GftError, WronskianDrift
+from .errors import EvaluationFailed, GftError, WronskianDrift
 from .expressions import parse
 from .families import DiskSampler, Family, GridField, injectivity_spot_check, membership
 from .palpha import QFunction, check_palpha, constant_solver, sharpness_construct
@@ -148,7 +149,10 @@ def _cmd_order(args, t0):
 def _cmd_schwarzian(args, t0):
     f, text = _source_expr(args)
     z = _parse_complex(args.z)
-    s = schwarzian(f, z)
+    with np.errstate(all="ignore"):  # an overflowing jet is reported below, not warned about
+        s = schwarzian(f, z)
+    if not cmath.isfinite(s):
+        raise EvaluationFailed(f"S_f({args.z}) is not finite: the jet of f overflowed there")
     lines = [f"S_f({z}) = {s.real:.15g} + {s.imag:.15g}i", f"|S_f| = {abs(s):.15g}"]
     _emit(
         args, "schwarzian",

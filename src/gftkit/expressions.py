@@ -16,15 +16,19 @@ functions on [0,1) reuse the same grammar with variable ``x``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jets
-from .errors import DegenerateMobius, EvaluationFailed, ExprSyntaxError
-from .jets import ELEMENTARY, Jet3, jet_pow
+from .errors import DegenerateMobius, EvaluationFailed, ExprSyntaxError, GftError
+from .jets import ELEMENTARY, Jet3
+from .numerics import is_scalar
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
 
@@ -35,9 +39,6 @@ _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
 @dataclass(frozen=True)
 class _Const:
     value: complex
-
-    def eval(self, seed):
-        return Jet3(self.value, 0.0, 0.0, 0.0)
 
     def diff(self):
         return _Const(0.0)
@@ -68,9 +69,6 @@ def _fmt_real(x: float):
 
 @dataclass(frozen=True)
 class _Var:
-    def eval(self, seed):
-        return seed
-
     def diff(self):
         return _Const(1.0)
 
@@ -94,18 +92,12 @@ class _Bin:
 class _Add(_Bin):
     OP, PREC = "+", _ADD
 
-    def eval(self, seed):
-        return self.left.eval(seed) + self.right.eval(seed)
-
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
 
 
 class _Sub(_Bin):
     OP, PREC = "-", _ADD
-
-    def eval(self, seed):
-        return self.left.eval(seed) - self.right.eval(seed)
 
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
@@ -114,18 +106,12 @@ class _Sub(_Bin):
 class _Mul(_Bin):
     OP, PREC = "*", _MUL
 
-    def eval(self, seed):
-        return self.left.eval(seed) * self.right.eval(seed)
-
     def diff(self):
         return _add(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff()))
 
 
 class _Div(_Bin):
     OP, PREC = "/", _MUL
-
-    def eval(self, seed):
-        return self.left.eval(seed) / self.right.eval(seed)
 
     def diff(self):
         num = _sub(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff()))
@@ -135,9 +121,6 @@ class _Div(_Bin):
 @dataclass(frozen=True)
 class _Neg:
     child: object
-
-    def eval(self, seed):
-        return -self.child.eval(seed)
 
     def diff(self):
         return _neg(self.child.diff())
@@ -151,9 +134,6 @@ class _Neg:
 class _Pow:
     child: object
     exponent: float
-
-    def eval(self, seed):
-        return jet_pow(self.child.eval(seed), self.exponent)
 
     def diff(self):
         c = self.exponent
@@ -175,9 +155,6 @@ class _Pow:
 class _Fun:
     name: str
     child: object
-
-    def eval(self, seed):
-        return ELEMENTARY[self.name](self.child.eval(seed))
 
     def diff(self):
         x, dx = self.child, self.child.diff()
@@ -266,6 +243,251 @@ def _substitute(node, repl):
     if isinstance(node, _Fun):
         return _Fun(node.name, _substitute(node.child, repl))
     raise TypeError(type(node))  # pragma: no cover
+
+
+# -- the built jet evaluator -------------------------------------------------
+#
+# A FunctionExpr builds each of its two evaluators once, on first use
+# (FunctionExpr.scalar_jet, array_jet).  Each node becomes a closure from the
+# seed z to a plain 4-tuple (v0, v1, v2, v3), compiled by jets.rule and
+# jets.linear_rule for the kinds of its children's entries.  Constant
+# subtrees are folded at build time with the unpruned rules, which are the
+# Jet3 formulas, so they hold exactly what a tree walk computes; one that
+# hits a singular point raises its error on every call, where the walk
+# would reach it.
+#
+# The scalar and the array path get separate closures, because the walk's
+# numbers differ in type there and complex products and quotients round
+# differently by type: a numpy array product unlike a scalar product, and
+# numpy scalar quotients unlike Python ones.  On the array path constants
+# are held as 1-element arrays, so every product runs as an array product,
+# as in the walk.  On the scalar path each plan also carries ``types``: two
+# sample tuples whose entries have the types the walk and this evaluator hold
+# there.  Sums and products give equal values whatever the type, so only
+# the result's types matter (callers divide by them): the root converts an
+# entry whose type differs from the walk's.
+
+
+class _Plan(NamedTuple):
+    fn: object  # seed -> 4-tuple
+    kinds: tuple  # jets kind of each entry
+    const: object = None  # the folded 4-tuple of a constant subtree
+    effects: tuple = ()  # what a constant must still evaluate (the base of f^0)
+    types: tuple = None  # scalar path: (walk, own) type samples
+
+
+_FOLD, _SCALAR, _ARRAY = "fold", "scalar", "array"
+_FULL = (jets.VALUE,) * 4  # kinds that prune nothing
+_IDENTITY = (complex(1.0), 0.0, 0.0, 0.0)  # the jet of the constant 1, as Jet3 seeds it
+# one value per type a scalar walk holds, away from every singular point
+_SAMPLES = {t: t(1.5 + 0.5j) if issubclass(t, complex) else t(1.5)
+            for t in (float, complex, np.float64, np.complex128)}
+
+
+def _samples(values):
+    return tuple(_SAMPLES.get(type(v), v) for v in values)
+
+
+def _const_kinds(values, mode):
+    if mode == _FOLD:
+        return _FULL
+    kinds = []
+    for k, v in enumerate(values):
+        if not cmath.isfinite(v):
+            kinds.append(jets.NONFINITE)
+        elif k and v == 0:
+            kinds.append(jets.ZERO)
+        elif not k and v == 1:
+            kinds.append(jets.ONE)
+        else:
+            kinds.append(jets.VALUE)
+    return tuple(kinds)
+
+
+def _held(values, mode):
+    """A constant 4-tuple as the path holds it: 1-element arrays on the array path."""
+    return tuple(np.array(values, dtype=complex)[:, None]) if mode == _ARRAY else values
+
+
+def _const_plan(values, mode, effects=()):
+    values = tuple(values)
+    rt = _held(values, mode)
+
+    def fn(z):
+        for effect in effects:
+            effect(z)
+        return rt
+
+    types = (values, values) if mode == _SCALAR else None
+    return _Plan(fn, _const_kinds(values, mode), values, effects, types)
+
+
+def _raiser(exc, effects, mode):
+    cls, args = type(exc), exc.args
+
+    def fn(z):
+        for effect in effects:
+            effect(z)
+        raise cls(*args)
+
+    types = ((_SAMPLES[complex],) * 4,) * 2 if mode == _SCALAR else None
+    return _Plan(fn, _FULL, None, (), types)
+
+
+def _node(children, compile_op, mode):
+    """Plan for an operation on child plans; folds constant children."""
+    if all(c.const is not None for c in children):
+        f, _ = compile_op((_FULL,) * len(children), _FOLD)
+        effects = sum((c.effects for c in children), ())
+        try:
+            return _const_plan(f(*(c.const for c in children)), mode, effects)
+        except GftError as exc:
+            return _raiser(exc, effects, mode)
+    f, kinds = compile_op(tuple(c.kinds for c in children), mode)
+    types = None
+    if mode == _SCALAR:
+        walk, _ = compile_op((_FULL,) * len(children), _FOLD)
+        types = tuple(_samples(g(*(c.types[i] for c in children))) for i, g in enumerate((walk, f)))
+    if len(children) == 1:
+        fa = children[0].fn
+        return _Plan(lambda z: f(fa(z)), kinds, None, (), types)
+    fa, fb = children[0].fn, children[1].fn
+    return _Plan(lambda z: f(fa(z), fb(z)), kinds, None, (), types)
+
+
+def _product_op(kinds, mode):
+    r, out = jets.rule("product", kinds[0] + kinds[1])
+    return (lambda A, B: r(A + B)), out
+
+
+def _linear_op(op):
+    def compile_op(kinds, mode):
+        r, out = jets.linear_rule(op, sum(kinds, ()))
+        if len(kinds) == 2:
+            return (lambda A, B: r(A + B)), out
+        return r, out
+
+    return compile_op
+
+
+def _outer_op(outer, guarded):
+    def compile_op(kinds, mode):
+        (ka,) = kinds
+        kg = jets.NONFINITE if ka[0] == jets.NONFINITE else jets.VALUE
+        r, out = jets.rule("chain", (kg,) * 4 + ka)
+        if guarded and mode == _ARRAY:
+            # a masked point makes every entry NaN: nothing stays structural
+            out = tuple(k if k == jets.NONFINITE else jets.VALUE for k in out)
+
+        def f(A):
+            g, mask = outer(A[0])
+            V = r(g + A)
+            return V if mask is None else jets.masked(V, mask)
+
+        return f, out
+
+    return compile_op
+
+
+def _int_pow_op(n):
+    """f^n for an integer n >= 1 by repeated squaring, as jets._int_pow."""
+
+    def compile_op(kinds, mode):
+        (base,) = kinds
+        one = _held(_IDENTITY, mode)
+        res, steps, m = _const_kinds(_IDENTITY, mode), [], n
+        while m:
+            if m & 1:
+                r, res = jets.rule("product", res + base)
+                steps.append((True, r))
+            m >>= 1
+            if m:
+                r, base = jets.rule("product", base + base)
+                steps.append((False, r))
+
+        def f(A):
+            result, b = one, A
+            for to_result, r in steps:
+                if to_result:
+                    result = r(result + b)
+                else:
+                    b = r(b + b)
+            return result
+
+        return f, res
+
+    return compile_op
+
+
+_RECIPROCAL = _outer_op(jets.reciprocal_outer, True)
+_FUNCTIONS = {name: _outer_op(outer, name in jets.GUARDED) for name, outer in jets.OUTER.items()}
+_LINEAR = {_Add: _linear_op("+"), _Sub: _linear_op("-")}
+_NEG = _linear_op("neg")
+
+
+def _build(node, mode) -> _Plan:
+    if isinstance(node, _Const):
+        return _const_plan((node.value, 0.0, 0.0, 0.0), mode)
+    if isinstance(node, _Var):
+        seed = (_SAMPLES[complex], 1.0, 0.0, 0.0)
+        types = (seed, seed) if mode == _SCALAR else None
+        kinds = (jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO)
+        return _Plan(lambda z: (z, 1.0, 0.0, 0.0), kinds, None, (), types)
+    if isinstance(node, _Neg):
+        return _node([_build(node.child, mode)], _NEG, mode)
+    if isinstance(node, _Bin):
+        a, b = _build(node.left, mode), _build(node.right, mode)
+        if isinstance(node, _Mul):
+            return _node([a, b], _product_op, mode)
+        if isinstance(node, _Div):
+            return _node([a, _node([b], _RECIPROCAL, mode)], _product_op, mode)
+        return _node([a, b], _LINEAR[type(node)], mode)
+    if isinstance(node, _Fun):
+        return _node([_build(node.child, mode)], _FUNCTIONS[node.name], mode)
+    if isinstance(node, _Pow):
+        a = _build(node.child, mode)
+        c = float(node.exponent)
+        if not c.is_integer():
+            return _node([a], _outer_op(jets.pow_outer(c), True), mode)
+        n = int(c)
+        if n == 0:  # the constant 1, after evaluating the base for its errors
+            return _const_plan(_IDENTITY, mode, a.effects if a.const is not None else (a.fn,))
+        p = _node([a], _int_pow_op(abs(n)), mode)
+        return p if n > 0 else _node([p], _RECIPROCAL, mode)
+    raise TypeError(type(node))  # pragma: no cover
+
+
+def _build_path(root, mode):
+    """The jet evaluator z -> Jet3 of the tree ``root`` for scalar or for
+    array z (``mode``)."""
+    with np.errstate(all="ignore"):  # folding constants may overflow, as the walk would
+        plan = _build(root, mode)
+    fn = plan.fn
+    if mode == _SCALAR:
+        casts = [type(w) if type(w) is not type(o) else None for w, o in zip(*plan.types)]
+        if any(casts):
+            def jet(z):
+                return Jet3(*(v if c is None else c(v) for v, c in zip(fn(complex(z)), casts)))
+        else:
+            def jet(z):
+                return Jet3(*fn(complex(z)))
+        return jet
+
+    if plan.const is not None:  # a constant map (or f^0) keeps the walk's scalars
+        def jet(z):
+            fn(z)
+            return Jet3(*plan.const)
+        return jet
+
+    def jet(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):  # arrays NaN-mask overflow and singular hits
+            out = fn(z)
+        # entries that do not vary with z are scalars or 1-element arrays until here
+        return Jet3(*(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
+                      for v in out))
+
+    return jet
 
 
 # -- lexer / parser --------------------------------------------------------
@@ -434,11 +656,24 @@ class FunctionExpr:
     exclusion_radius: float = 1e-3
 
     def jet(self, z) -> Jet3:
-        if np.ndim(z) == 0:
-            return self.root.eval(jets.variable(z))
-        # arrays NaN-mask overflow and singular hits; numpy need not warn
-        with np.errstate(all="ignore"):
-            return self.root.eval(jets.variable(z))
+        """Value and first three derivatives of f at a scalar or array z."""
+        return self.scalar_jet(z) if is_scalar(z) else self.array_jet(z)
+
+    # The evaluators are built on first use and kept for the life of the map.
+    # They are not fields: equality, hash and repr ignore them.
+    @cached_property
+    def scalar_jet(self):
+        """The jet evaluator for a scalar z."""
+        return _build_path(self.root, _SCALAR)
+
+    @cached_property
+    def array_jet(self):
+        """The jet evaluator for an array z."""
+        return _build_path(self.root, _ARRAY)
+
+    def __getstate__(self):
+        # the evaluators are closures; a copy rebuilds them on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("scalar_jet", "array_jet")}
 
     def value(self, z):
         return self.jet(z).v0

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .expressions import FunctionExpr
 from .jets import Jet3
-from .numerics import finite_samples, golden_min, quasi_random_disk
+from .numerics import finite_samples, golden_min, is_scalar, quasi_random_disk
 
 _TINY = 1e-13
 
@@ -142,7 +142,7 @@ def _functional(family: Family, z, jet: Jet3):
             val = -np.real(z * v1 / v0)
         else:
             val = np.real(1.0 + z * v2 / v1 - 2.0 * z * v1 / v0)
-        if np.ndim(z) and family in B_FAMILIES:
+        if family in B_FAMILIES and not is_scalar(z):
             val = np.where(np.asarray(z) == 0, 1.0, val)
     return val
 
@@ -155,7 +155,7 @@ def functional_value(f: FunctionExpr, family: Family, z):
     At z = 0 the pole-normalized families take their limit value 1.
     """
     family = Family(family)
-    scalar = np.ndim(z) == 0
+    scalar = is_scalar(z)
     if scalar and complex(z) == 0 and family in B_FAMILIES:
         return 1.0
     jet = f.jet(z)
@@ -176,6 +176,7 @@ def _grid_jet(f: FunctionExpr, pts: np.ndarray) -> Jet3:
     if workers <= 1 or pts.size < 4 * workers:
         return f.jet(pts)
     chunks = np.array_split(pts, workers)
+    f.array_jet  # build the evaluator here, once, not in each worker
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(f.jet, chunks))
     # a constant map has scalar jet components: broadcast them per chunk

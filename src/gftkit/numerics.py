@@ -1,5 +1,6 @@
-"""Small numerical kernels: bracketed root finding, golden-section search,
-Richardson extrapolation, quasi-random disk points, the 1% non-finite rule."""
+"""Small numerical kernels: the scalar test, bracketed root finding,
+golden-section search, Richardson extrapolation, quasi-random disk points,
+the 1% non-finite rule."""
 
 from __future__ import annotations
 
@@ -12,6 +13,18 @@ from .errors import EvaluationFailed
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+_SCALAR_TYPES = (complex, float, int, np.generic)
+
+
+def is_scalar(x) -> bool:
+    """``np.ndim(x) == 0``, without its ~2 us cost on Python and numpy scalars."""
+    if isinstance(x, _SCALAR_TYPES):
+        return True
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0
+    return np.ndim(x) == 0
 
 
 def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> float:

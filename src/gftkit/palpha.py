@@ -32,7 +32,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .expressions import FunctionExpr, parse
-from .numerics import bisect, richardson
+from .numerics import bisect, is_scalar, richardson
 
 _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
 _IMAG_TOL = 1e-12  # relative allowance for roundoff in Im q
@@ -100,7 +100,7 @@ class QFunction:
         return cls("samples", label, lambda x: np.interp(np.asarray(x, float), xs, vs), xs)
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
+        if is_scalar(x):
             v = float(self._fn(x))
             if v < _NEG_TOL:
                 raise NonnegativityViolated(f"q({x}) = {v} < 0")

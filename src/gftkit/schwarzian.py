@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EvaluationFailed, GftError, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
 from .jets import Jet3
-from .numerics import finite_samples, golden_max
+from .numerics import finite_samples, golden_max, is_scalar
 
 _TINY = 1e-13
 
@@ -29,24 +29,30 @@ def schwarzian(f: FunctionExpr, z):
     NaN-masks those points.
     """
     jet = f.jet(z)
-    scalar = np.ndim(z) == 0
-    if scalar and abs(jet.v1) < _TINY:
-        raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    s = schwarzian_of_jet(jet)
-    return complex(s) if scalar else s
+    if is_scalar(z):
+        if abs(jet.v1) < _TINY:
+            raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
+        # no np.errstate here (it costs more than the formula): a jet that
+        # overflowed may warn, as its own evaluation already can
+        return complex(_schwarzian(jet))
+    return schwarzian_of_jet(jet)
+
+
+def _schwarzian(jet: Jet3):
+    w = jet.v2 / jet.v1
+    return jet.v3 / jet.v1 - 1.5 * w * w
 
 
 def schwarzian_of_jet(jet: Jet3):
     """S_f from a jet of f; NaN (no raise) where f' = 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = jet.v2 / jet.v1
-        return jet.v3 / jet.v1 - 1.5 * w * w
+        return _schwarzian(jet)
 
 
 def pre_schwarzian(f: FunctionExpr, z):
     """f''/f' at z; same scalar/array semantics as ``schwarzian``."""
     jet = f.jet(z)
-    scalar = np.ndim(z) == 0
+    scalar = is_scalar(z)
     if scalar and abs(jet.v1) < _TINY:
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -59,7 +65,7 @@ def weighted_modulus(f: FunctionExpr, z):
     s = schwarzian(f, z)
     weight = (1.0 - np.abs(z) ** 2) ** 2
     out = weight * np.abs(s)
-    return float(out) if np.ndim(z) == 0 else out
+    return float(out) if is_scalar(z) else out
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,22 @@ def test_grid_overflow_reports_the_error_line_alone():
     assert out.stderr == "error: 12396 of 32768 grid points failed to evaluate (> 1%)\n"
 
 
+def test_schwarzian_overflow_reports_the_error_line_alone():
+    # S_f of exp(1000 z) is -500000, but its jet overflows at z = 0.9: no
+    # NaN result, no "holds", and no numpy RuntimeWarning on stderr
+    src = os.path.dirname(os.path.dirname(gftkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "gftkit.cli", "schwarzian", "--expr", "exp(1000*z)",
+         "--z", "0.9", "--json"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "default"},
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: S_f(0.9) is not finite: the jet of f overflowed there\n"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
