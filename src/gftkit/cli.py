@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 the check holds / the quantity was computed; 1 the check
-ran and was violated; 2 usage or evaluation errors.  ``--json`` swaps the
+Every subcommand handler returns a ``_Report``; ``main`` alone prints it
+and returns its exit code.  Exit codes: 0 the check holds or the quantity
+was computed, 1 the check ran and was violated, 2 usage or evaluation
+errors; the one exception is ``order``, which exits 0 whenever the
+estimate was computed, even with ``"holds": false``.  ``--json`` swaps the
 text report for a machine-readable one with the fixed key order
 {command, inputs, verdict, order_estimate?, tolerances, wall_time_ms,
 version}; everything except wall_time_ms is reproducible bit-for-bit for
-fixed inputs and --seed.  GFT_THREADS overrides the grid-evaluation
-worker count.
+fixed inputs and --seed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +41,11 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}; use forms like 0.5 or 0.3+0.4i")
 
 
-def _add_common(p):
+def _add_common(p, handler):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for quasi-random sampling")
     p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
+    p.set_defaults(func=handler)
 
 
 def _add_source(p, required=True):
@@ -59,12 +63,12 @@ def _add_sampler(p):
                    help="exclusion radius around the origin and declared singularities")
 
 
-def _source_expr(args):
-    if args.catalog_name:
-        entry = catalog.get_entry(args.catalog_name)
+def _load(name, text):
+    """The catalog entry ``name``'s map, else ``text`` parsed; with its text."""
+    if name:
+        entry = catalog.get_entry(name)
         return entry.expr, entry.expr_text
-    f = parse(args.expr)
-    return f, args.expr
+    return parse(text), text
 
 
 def _sampler(args) -> DiskSampler:
@@ -76,31 +80,46 @@ def _sampler(args) -> DiskSampler:
     )
 
 
-def _witness(re=0.0, im=0.0, value=0.0):
-    return {"re": float(re), "im": float(im), "value": float(value)}
+@dataclass(frozen=True)
+class _Report:
+    """One subcommand's answer; ``main`` prints it as text or as JSON.
 
+    ``witness`` is (point, value).  ``tolerances`` go after, or over,
+    {"tol": --tol}.  ``code`` is set only where the exit code is not
+    ``0 if holds else 1``.  ``listing`` is the whole JSON output, if set.
+    """
 
-def _emit(args, command, inputs, verdict, tolerances, t0, text_lines, order_est=None):
-    if args.json:
-        report = {"command": command, "inputs": inputs, "verdict": verdict}
-        if order_est is not None:
-            report["order_estimate"] = float(order_est)
-        report["tolerances"] = tolerances
-        report["wall_time_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    lines: list
+    inputs: dict = None
+    holds: bool = True
+    margin: float = 0.0
+    witness: tuple = (0.0, 0.0)
+    tolerances: dict = None
+    order_estimate: float = None
+    code: int = None
+    listing: object = None
+
+    def as_json(self, args, wall_time_ms: float):
+        if self.listing is not None:
+            return self.listing
+        z, value = complex(self.witness[0]), float(self.witness[1])
+        report = {"command": args.command, "inputs": self.inputs, "verdict": {
+            "holds": self.holds, "margin": self.margin,
+            "witness": {"re": z.real, "im": z.imag, "value": value}}}
+        if self.order_estimate is not None:
+            report["order_estimate"] = float(self.order_estimate)
+        report["tolerances"] = {"tol": args.tol, **(self.tolerances or {})}
+        report["wall_time_ms"] = wall_time_ms
         report["version"] = __version__
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+        return report
 
 
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_classify(args, t0):
-    f, text = _source_expr(args)
-    sampler = _sampler(args)
-    v = membership(f, Family(args.family), args.alpha, sampler=sampler, tol=args.tol)
+def _cmd_classify(args):
+    f, text = _load(args.catalog_name, args.expr)
+    v = membership(f, Family(args.family), args.alpha, sampler=_sampler(args), tol=args.tol)
     lines = [
         f"family {v.family.value}, alpha = {v.alpha}",
         f"holds on samples: {v.holds_on_samples}",
@@ -112,20 +131,18 @@ def _cmd_classify(args, t0):
     if Family(args.family) is Family.BCI:
         ok = injectivity_spot_check(f, seed=args.seed)
         lines.append(f"injectivity spot check (heuristic): {'no collisions' if ok else 'FAILED'}")
-    _emit(
-        args, "classify",
+    return _Report(
+        lines,
         {"expr": text, "family": args.family, "alpha": args.alpha, "seed": args.seed,
          "rmax": args.rmax, "rings": args.rings, "points": args.points,
          "exclude": args.exclude},
-        {"holds": v.holds_on_samples, "margin": v.margin,
-         "witness": _witness(v.witness.real, v.witness.imag, v.witness_value)},
-        {"tol": args.tol}, t0, lines, order_est=v.order_estimate,
+        v.holds_on_samples, v.margin, (v.witness, v.witness_value),
+        order_estimate=v.order_estimate,
     )
-    return 0 if v.holds_on_samples else 1
 
 
-def _cmd_order(args, t0):
-    f, text = _source_expr(args)
+def _cmd_order(args):
+    f, text = _load(args.catalog_name, args.expr)
     fam = Family(args.family)
     field = GridField(f, _sampler(args))
     v = field.verdict(fam, 0.0, args.tol)
@@ -135,36 +152,31 @@ def _cmd_order(args, t0):
         f"order estimate: {refined:.9g}",
         f"grid minimum at {v.witness:.9f} (functional {v.witness_value:.9g})",
     ]
-    _emit(
-        args, "order",
+    return _Report(
+        lines,
         {"expr": text, "family": args.family, "seed": args.seed, "rmax": args.rmax,
          "rings": args.rings, "points": args.points, "exclude": args.exclude},
-        {"holds": refined > 0.0, "margin": refined,
-         "witness": _witness(v.witness.real, v.witness.imag, v.witness_value)},
-        {"tol": args.tol}, t0, lines, order_est=refined,
+        refined > 0.0, refined, (v.witness, v.witness_value),
+        order_estimate=refined, code=0,  # an estimate, not a check
     )
-    return 0
 
 
-def _cmd_schwarzian(args, t0):
-    f, text = _source_expr(args)
+def _cmd_schwarzian(args):
+    f, text = _load(args.catalog_name, args.expr)
     z = _parse_complex(args.z)
     with np.errstate(all="ignore"):  # an overflowing jet is reported below, not warned about
         s = schwarzian(f, z)
     if not cmath.isfinite(s):
         raise EvaluationFailed(f"S_f({args.z}) is not finite: the jet of f overflowed there")
-    lines = [f"S_f({z}) = {s.real:.15g} + {s.imag:.15g}i", f"|S_f| = {abs(s):.15g}"]
-    _emit(
-        args, "schwarzian",
+    return _Report(
+        [f"S_f({z}) = {s.real:.15g} + {s.imag:.15g}i", f"|S_f| = {abs(s):.15g}"],
         {"expr": text, "z": {"re": z.real, "im": z.imag}, "seed": args.seed},
-        {"holds": True, "margin": 0.0, "witness": _witness(s.real, s.imag, abs(s))},
-        {"tol": args.tol}, t0, lines,
+        True, 0.0, (s, abs(s)),
     )
-    return 0
 
 
-def _cmd_norm(args, t0):
-    f, text = _source_expr(args)
+def _cmd_norm(args):
+    f, text = _load(args.catalog_name, args.expr)
     est = schwarzian_norm(f, rings=args.rings, points_per_ring=args.points,
                           refine_iters=args.refine)
     lines = [
@@ -172,15 +184,12 @@ def _cmd_norm(args, t0):
         f"argmax: {est.argmax:.9f}",
         f"grid: {est.evaluated} evaluated, {est.skipped} skipped",
     ]
-    _emit(
-        args, "norm",
+    return _Report(
+        lines,
         {"expr": text, "rings": args.rings, "points": args.points,
          "refine": args.refine, "seed": args.seed},
-        {"holds": True, "margin": est.lower_bound,
-         "witness": _witness(est.argmax.real, est.argmax.imag, est.lower_bound)},
-        {"tol": args.tol}, t0, lines,
+        True, est.lower_bound, (est.argmax, est.lower_bound),
     )
-    return 0
 
 
 def _q_from_args(args) -> QFunction:
@@ -191,7 +200,7 @@ def _q_from_args(args) -> QFunction:
     raise ValueError("need --q or --q-const")
 
 
-def _cmd_palpha(args, t0):
+def _cmd_palpha(args):
     q = _q_from_args(args)
     v = check_palpha(q, args.alpha, eps_end=args.eps_end, tol=args.tol)
     lines = [
@@ -202,80 +211,60 @@ def _cmd_palpha(args, t0):
         f"member at alpha = {v.alpha}: {v.member}",
     ]
     if v.positive_on_01:
-        margin = v.limit_estimate - v.alpha
-        wit = _witness(1.0, 0.0, v.limit_estimate)
-    else:
-        margin = -1.0  # sentinel: fails by positivity, not by the limit
-        wit = _witness(v.first_zero, 0.0, 0.0)
-    _emit(
-        args, "palpha",
+        margin, wit = v.limit_estimate - v.alpha, (1.0, v.limit_estimate)
+    else:  # margin -1 is a sentinel: fails by positivity, not by the limit
+        margin, wit = -1.0, (v.first_zero, 0.0)
+    return _Report(
+        lines,
         {"q": q.label, "alpha": args.alpha, "eps_end": args.eps_end, "seed": args.seed},
-        {"holds": v.member, "margin": margin, "witness": wit},
-        {"tol": args.tol, "ladder_settle": 1e-5}, t0, lines,
+        v.member, margin, wit, tolerances={"ladder_settle": 1e-5},
     )
-    return 0 if v.member else 1
 
 
-def _cmd_const_q(args, t0):
+def _cmd_const_q(args):
     c = constant_solver(args.target)
     t = np.sqrt(c)
     residual = abs(t / np.tan(t) - args.target)
-    lines = [f"c = {c!r}", f"residual |sqrt(c) cot(sqrt(c)) - target| = {residual:.3e}"]
-    _emit(
-        args, "const-q",
+    return _Report(
+        [f"c = {c!r}", f"residual |sqrt(c) cot(sqrt(c)) - target| = {residual:.3e}"],
         {"target": args.target, "seed": args.seed},
-        {"holds": True, "margin": residual, "witness": _witness(c, 0.0, c)},
-        {"tol": args.tol, "solver_xtol": 1e-15}, t0, lines,
+        True, residual, (c, c), tolerances={"solver_xtol": 1e-15},
     )
-    return 0
 
 
-def _cmd_radius(args, t0):
+def _cmd_radius(args):
     res = radius_inverse_convexity(args.alpha)
     lines = [
         f"radius of inverse convexity at alpha = {args.alpha}: {res.radius!r}",
         f"closed form: {res.closed_form!r} (difference {abs(res.radius - res.closed_form):.3e})",
         f"polynomial residual: {res.residual:.3e}",
     ]
-    code = 0
-    verdict = {"holds": True, "margin": res.residual,
-               "witness": _witness(res.radius, 0.0, res.radius)}
     inputs = {"alpha": args.alpha, "seed": args.seed}
+    holds, margin, wit = True, res.residual, (res.radius, res.radius)
     if args.check_expr or args.check_catalog:
-        if args.check_catalog:
-            entry = catalog.get_entry(args.check_catalog)
-            g, gtext = entry.expr, entry.expr_text
-        else:
-            g, gtext = parse(args.check_expr), args.check_expr
+        g, gtext = _load(args.check_catalog, args.check_expr)
         r = args.at_radius if args.at_radius is not None else res.radius
         chk = verify_radius(g, args.alpha, radius=r, tol=args.tol)
-        wit = rotation_witness(g, args.alpha, r, tol=args.tol)
+        rot = rotation_witness(g, args.alpha, r, tol=args.tol)
+        v = chk.verdict
         lines += [
-            f"check {gtext} on |z| < {r!r}: holds = {chk.holds_inside} "
-            f"(margin {chk.verdict.margin:.6g})",
-            f"worst rotation at tau = {wit.tau:.6f}: functional {wit.value:.6g}"
-            + (" (violates)" if wit.violates else ""),
+            f"check {gtext} on |z| < {r!r}: holds = {chk.holds_inside} (margin {v.margin:.6g})",
+            f"worst rotation at tau = {rot.tau:.6f}: functional {rot.value:.6g}"
+            + (" (violates)" if rot.violates else ""),
         ]
-        verdict = {
-            "holds": chk.holds_inside,
-            "margin": chk.verdict.margin,
-            "witness": _witness(chk.verdict.witness.real, chk.verdict.witness.imag,
-                                chk.verdict.witness_value),
-        }
         inputs.update({"check": gtext, "at_radius": r})
-        code = 0 if chk.holds_inside else 1
-    _emit(args, "radius", inputs, verdict, {"tol": args.tol, "root_xtol": 1e-15}, t0, lines)
-    return code
+        holds, margin, wit = chk.holds_inside, v.margin, (v.witness, v.witness_value)
+    return _Report(lines, inputs, holds, margin, wit, tolerances={"root_xtol": 1e-15})
 
 
 _WRONSKIAN_TOL = 1e-8
 
 
-def _cmd_factor_check(args, t0):
-    f, text = _source_expr(args)
-    sampler = _sampler(args)
-    rep = starlike_equivalence_check(f, args.alpha, n_rays=args.rays, sampler=sampler,
-                                     tol=max(args.tol, 1e-4))
+def _cmd_factor_check(args):
+    f, text = _load(args.catalog_name, args.expr)
+    tol = max(args.tol, 1e-4)
+    rep = starlike_equivalence_check(f, args.alpha, n_rays=args.rays, sampler=_sampler(args),
+                                     tol=tol)
     if rep.wronskian_worst > _WRONSKIAN_TOL:
         raise WronskianDrift(
             f"worst Wronskian drift {rep.wronskian_worst:.3e} exceeds {_WRONSKIAN_TOL:g}; "
@@ -289,21 +278,19 @@ def _cmd_factor_check(args, t0):
         f"convexity verdict: holds = {rep.bc_holds} (margin {rep.bc_margin:.6g})",
         f"routes agree: {rep.agree}",
     ]
-    wz = sampler.r_max * np.exp(1j * rep.worst_ray_theta)
-    _emit(
-        args, "factor-check",
+    wz = args.rmax * np.exp(1j * rep.worst_ray_theta)
+    return _Report(
+        lines,
         {"expr": text, "alpha": args.alpha, "rays": args.rays, "rmax": args.rmax,
          "seed": args.seed},
-        {"holds": rep.agree, "margin": rep.v_margin,
-         "witness": _witness(wz.real, wz.imag, rep.v_margin)},
-        {"tol": max(args.tol, 1e-4), "wronskian": _WRONSKIAN_TOL}, t0, lines,
+        rep.agree, rep.v_margin, (wz, rep.v_margin),
+        tolerances={"tol": tol, "wronskian": _WRONSKIAN_TOL},
     )
-    return 0 if rep.agree else 1
 
 
-def _cmd_theorem(args, t0):
+def _cmd_theorem(args):
     sampler = _sampler(args)
-    f, text = _source_expr(args)
+    f, text = _load(args.catalog_name, args.expr)
     if args.check == "sufficiency":
         rep = verify_sufficiency(f, _q_from_args(args), args.alpha, sampler=sampler,
                                  tol=args.tol)
@@ -319,17 +306,14 @@ def _cmd_theorem(args, t0):
         for it in rep.items
     ]
     lines.append(f"consistent: {rep.consistent}")
-    worst = min(it.margin for it in rep.items)
-    _emit(
-        args, "theorem",
-        {"check": args.check, "expr": text, "alpha": args.alpha, "seed": args.seed},
-        {"holds": rep.consistent, "margin": float(worst), "witness": _witness(0.0, 0.0, worst)},
-        {"tol": args.tol}, t0, lines,
+    worst = float(min(it.margin for it in rep.items))
+    return _Report(
+        lines, {"check": args.check, "expr": text, "alpha": args.alpha, "seed": args.seed},
+        rep.consistent, worst, (0.0, worst),
     )
-    return 0 if rep.consistent else 1
 
 
-def _cmd_sharpness(args, t0):
+def _cmd_sharpness(args):
     res = sharpness_construct(args.n, args.beta, eps_end=args.eps_end)
     lines = [
         f"coefficient: {res.q.label}",
@@ -341,28 +325,20 @@ def _cmd_sharpness(args, t0):
     ]
     # the gap to beta at the boundary; min_ratio at x = 1 - eps_end overstates it
     boundary = res.min_ratio if math.isnan(res.limit_estimate) else res.limit_estimate
-    _emit(
-        args, "sharpness",
-        {"n": args.n, "beta": args.beta, "eps_end": args.eps_end, "seed": args.seed},
-        {"holds": res.found, "margin": boundary - res.beta,
-         "witness": _witness(res.argmin_x, 0.0, res.min_ratio)},
-        {"tol": args.tol}, t0, lines,
+    return _Report(
+        lines, {"n": args.n, "beta": args.beta, "eps_end": args.eps_end, "seed": args.seed},
+        res.found, boundary - res.beta, (res.argmin_x, res.min_ratio),
     )
-    return 0 if res.found else 1
 
 
-def _cmd_catalog(args, t0):
-    data = catalog.catalog_json()
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0
+def _cmd_catalog(args):
+    lines = []
     for e in catalog.entries():
-        print(f"{e.name}: {e.expr_text}")
-        for c in e.claims:
-            print(f"    {c.family.value} order {c.order}: {c.cite}")
+        lines.append(f"{e.name}: {e.expr_text}")
+        lines += [f"    {c.family.value} order {c.order}: {c.cite}" for c in e.claims]
         if e.notes:
-            print(f"    note: {e.notes}")
-    return 0
+            lines.append(f"    note: {e.notes}")
+    return _Report(lines, listing=catalog.catalog_json())
 
 
 # -- parser ------------------------------------------------------------------
@@ -373,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gftkit",
         description="Numerical checks for meromorphic convexity, starlikeness, "
         "Schwarzian norms, and the associated ODE positivity classes.",
-        epilog="Environment: GFT_THREADS overrides the grid-evaluation worker count.",
     )
     parser.add_argument("--version", action="version", version=f"gftkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,29 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--alpha", type=float, default=0.0)
     _add_sampler(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    _add_common(p, _cmd_classify)
 
     p = sub.add_parser("order", help="largest sampled order for a family")
     _add_source(p)
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     _add_sampler(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_order)
+    _add_common(p, _cmd_order)
 
     p = sub.add_parser("schwarzian", help="Schwarzian derivative at a point")
     _add_source(p)
     p.add_argument("--z", required=True, help="evaluation point, e.g. 0.3+0.4i")
-    _add_common(p)
-    p.set_defaults(func=_cmd_schwarzian)
+    _add_common(p, _cmd_schwarzian)
 
     p = sub.add_parser("norm", help="hyperbolically weighted Schwarzian norm (lower bound)")
     _add_source(p)
     p.add_argument("--rings", type=int, default=64)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--refine", type=int, default=3, help="golden-section polish rounds")
-    _add_common(p)
-    p.set_defaults(func=_cmd_norm)
+    _add_common(p, _cmd_norm)
 
     p = sub.add_parser("palpha", help="positivity-class membership for a coefficient q")
     g = p.add_mutually_exclusive_group(required=True)
@@ -414,13 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps-end", type=float, default=2.0**-21,
                    help="distance to 1 at which integration stops")
-    _add_common(p)
-    p.set_defaults(func=_cmd_palpha)
+    _add_common(p, _cmd_palpha)
 
     p = sub.add_parser("const-q", help="constant coefficient matching a boundary limit")
     p.add_argument("--target", type=float, required=True, help="target limit in (0,1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_const_q)
+    _add_common(p, _cmd_const_q)
 
     p = sub.add_parser("radius", help="radius of inverse convexity, optional sampled check")
     p.add_argument("--alpha", type=float, required=True)
@@ -429,16 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--check-catalog", metavar="NAME", help="catalog entry to verify")
     p.add_argument("--at-radius", type=float, default=None,
                    help="verify at this radius instead of r_alpha")
-    _add_common(p)
-    p.set_defaults(func=_cmd_radius)
+    _add_common(p, _cmd_radius)
 
     p = sub.add_parser("factor-check", help="convexity vs starlike factor-solution agreement")
     _add_source(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--rays", type=int, default=64)
     _add_sampler(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_factor_check)
+    _add_common(p, _cmd_factor_check)
 
     p = sub.add_parser("theorem", help="structural consistency checks")
     p.add_argument("--check", required=True, choices=["sufficiency", "duality", "inclusions"])
@@ -449,20 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.1,0.25,0.4",
                    help="comma-separated orders (inclusions)")
     _add_sampler(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theorem)
+    _add_common(p, _cmd_theorem)
 
     p = sub.add_parser("sharpness", help="search for a convexity breakdown point of the "
                                          "monomial coefficient construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eps-end", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sharpness)
+    _add_common(p, _cmd_sharpness)
 
     p = sub.add_parser("catalog", help="list the built-in reference maps")
-    _add_common(p)
-    p.set_defaults(func=_cmd_catalog)
+    _add_common(p, _cmd_catalog)
 
     return parser
 
@@ -471,10 +435,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        return args.func(args, t0)
+        report = args.func(args)
     except (GftError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        wall_time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        print(json.dumps(report.as_json(args, wall_time_ms), indent=2))
+    else:
+        print(*report.lines, sep="\n")
+    return (0 if report.holds else 1) if report.code is None else report.code
 
 
 if __name__ == "__main__":

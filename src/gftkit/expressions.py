@@ -681,14 +681,6 @@ class FunctionExpr:
     def derivative(self) -> "FunctionExpr":
         return replace(self, root=self.root.diff())
 
-    def with_metadata(self, singular_points=None, exclusion_radius=None) -> "FunctionExpr":
-        out = self
-        if singular_points is not None:
-            out = replace(out, singular_points=tuple(complex(s) for s in singular_points))
-        if exclusion_radius is not None:
-            out = replace(out, exclusion_radius=float(exclusion_radius))
-        return out
-
     def __str__(self):
         text = self.root.fmt(0)
         return text if self.variable == "z" else text.replace("z", self.variable)

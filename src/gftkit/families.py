@@ -16,9 +16,7 @@ this tolerance" and carry the witness where the functional was smallest.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,10 +30,8 @@ from .errors import (
     UnivalenceNotChecked,
 )
 from .expressions import FunctionExpr
-from .jets import Jet3
+from .jets import Jet3, near_zero
 from .numerics import finite_samples, golden_min, is_scalar, quasi_random_disk
-
-_TINY = 1e-13
 
 
 class Family(str, Enum):
@@ -159,31 +155,12 @@ def functional_value(f: FunctionExpr, family: Family, z):
     if scalar and complex(z) == 0 and family in B_FAMILIES:
         return 1.0
     jet = f.jet(z)
-    if scalar and family in (Family.C, Family.BC, Family.BCI) and abs(jet.v1) < _TINY:
+    if scalar and family in (Family.C, Family.BC, Family.BCI) and near_zero(jet.v1):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if scalar and family in (Family.SSTAR, Family.BSSTAR, Family.BCI) and abs(jet.v0) < _TINY:
+    if scalar and family in (Family.SSTAR, Family.BSSTAR, Family.BCI) and near_zero(jet.v0):
         raise DivisionAtZero(f"f({z}) = 0 to tolerance")
     val = _functional(family, z, jet)
     return float(val) if scalar else val
-
-
-def _worker_count() -> int:
-    return max(1, int(os.environ.get("GFT_THREADS", "").strip() or 1))
-
-
-def _grid_jet(f: FunctionExpr, pts: np.ndarray) -> Jet3:
-    workers = _worker_count()
-    if workers <= 1 or pts.size < 4 * workers:
-        return f.jet(pts)
-    chunks = np.array_split(pts, workers)
-    f.array_jet  # build the evaluator here, once, not in each worker
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(f.jet, chunks))
-    # a constant map has scalar jet components: broadcast them per chunk
-    return Jet3(*(
-        np.concatenate([np.broadcast_to(v, c.shape) for v, c in zip(vals, chunks)])
-        for vals in zip(*((p.v0, p.v1, p.v2, p.v3) for p in parts))
-    ))
 
 
 def _safe_scalar(f, family, z) -> float:
@@ -204,7 +181,7 @@ class GridField:
         self.f = f
         self.sampler = sampler or DiskSampler()
         self.points = self.sampler.points(f.singular_points, f.exclusion_radius)
-        self.jet = _grid_jet(f, self.points)
+        self.jet = f.jet(self.points)
 
     def verdict(self, family: Family, alpha: float, tol: float = 1e-6) -> FamilyVerdict:
         """Sampled verdict on this grid; see ``membership``."""

@@ -36,22 +36,27 @@ SINGULAR_TOL = 1e-13
 _CNAN = complex("nan+nanj")
 
 
+def near_zero(value, tol: float = SINGULAR_TOL) -> bool:
+    """Whether the scalar ``value`` is an exact singular hit: |value| < tol."""
+    try:
+        mag = abs(value)
+    except OverflowError:  # a Python complex beyond float range: far from zero
+        return False
+    # abs() of a Python complex and np.abs may differ in the last bit:
+    # only a near tie needs np.abs, which decides as it always has
+    return mag < 2.0 * tol and np.abs(value) < tol
+
+
 def _guard(values, tol, exc, msg):
     """Return a bad-point mask for array input; raise for scalar input.
 
     ``None`` means nothing to patch.
     """
-    try:
-        mag = abs(values)
-    except OverflowError:  # a Python complex beyond float range: far from zero
-        return None
-    if is_scalar(mag):
-        # abs() of a Python complex and np.abs may differ in the last bit:
-        # only a near tie needs np.abs, which decides as it always has
-        if mag < 2.0 * tol and np.abs(values) < tol:
+    if is_scalar(values):
+        if near_zero(values, tol):
             raise exc(msg)
         return None
-    bad = mag < tol
+    bad = np.abs(values) < tol
     return bad if bad.any() else None
 
 

@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import EvaluationFailed, GftError, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
-from .jets import Jet3
+from .jets import Jet3, near_zero
 from .numerics import finite_samples, golden_max, is_scalar
-
-_TINY = 1e-13
 
 
 def schwarzian(f: FunctionExpr, z):
@@ -30,7 +28,7 @@ def schwarzian(f: FunctionExpr, z):
     """
     jet = f.jet(z)
     if is_scalar(z):
-        if abs(jet.v1) < _TINY:
+        if near_zero(jet.v1):
             raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
         # no np.errstate here (it costs more than the formula): a jet that
         # overflowed may warn, as its own evaluation already can
@@ -53,7 +51,7 @@ def pre_schwarzian(f: FunctionExpr, z):
     """f''/f' at z; same scalar/array semantics as ``schwarzian``."""
     jet = f.jet(z)
     scalar = is_scalar(z)
-    if scalar and abs(jet.v1) < _TINY:
+    if scalar and near_zero(jet.v1):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = jet.v2 / jet.v1

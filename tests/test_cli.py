@@ -128,6 +128,12 @@ def test_schwarzian_overflow_reports_the_error_line_alone():
     assert out.stderr == "error: S_f(0.9) is not finite: the jet of f overflowed there\n"
 
 
+def test_schwarzian_of_a_map_whose_derivative_overflows_abs(capsys):
+    # |f'| overflows Python's abs(): far from zero, so S_f = 0, no traceback
+    assert main(["schwarzian", "--expr", "1.5e308*z + 1.5e308*i*z", "--z", "0.5"]) == 0
+    assert capsys.readouterr().out == "S_f((0.5+0j)) = 0 + 0i\n|S_f| = 0\n"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -158,6 +164,20 @@ def test_order_reports_the_refined_estimate(capsys):
                                      "--family", "bc"] + FAST)
     assert code == 0
     assert report["order_estimate"] == pytest.approx(0.6006399358463514, abs=1e-9)
+
+
+def test_order_exits_zero_even_when_the_estimate_does_not_hold(capsys):
+    # order computes an estimate; "holds" is only whether it is positive
+    code, report = run_json(capsys, ["order", "--catalog", "koebe", "--family", "c"] + FAST)
+    assert code == 0
+    assert report["verdict"]["holds"] is False
+    assert report["order_estimate"] == 0.0
+
+
+def test_radius_without_a_check_exits_zero(capsys):
+    code, report = run_json(capsys, ["radius", "--alpha", "0"])
+    assert code == 0
+    assert report["verdict"]["holds"] is True
 
 
 def test_schwarzian_at_a_point(capsys):
@@ -267,11 +287,10 @@ def test_json_key_order_is_fixed(capsys):
                             "wall_time_ms", "version"]
 
 
-def test_reports_are_deterministic_up_to_wall_time(capsys, monkeypatch):
+def test_reports_are_deterministic_up_to_wall_time(capsys):
     argv = ["classify", "--catalog", "quarter_pole", "--family", "bc",
             "--alpha", "0.5", "--seed", "7"] + FAST
     _, first = run_json(capsys, argv)
-    monkeypatch.setenv("GFT_THREADS", "2")
     _, second = run_json(capsys, argv)
     first.pop("wall_time_ms")
     second.pop("wall_time_ms")
@@ -307,6 +326,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     states.append(scipy_loaded())
 print(states)
 """
+
+
+def test_a_grid_check_starts_no_thread_pool():
+    src = os.path.dirname(os.path.dirname(gftkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import contextlib, io, sys, gftkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    gftkit.cli.main(['classify', '--catalog', 'quarter_pole', '--family', 'bc',\n"
+        "                     '--rings', '12', '--points', '64'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "False"
 
 
 def test_scipy_is_imported_only_by_the_ode_and_quadrature_routes():

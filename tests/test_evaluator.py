@@ -238,9 +238,8 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
 
     build = expressions._build_path
     monkeypatch.setattr(expressions, "_build_path", counting)
-    monkeypatch.setenv("GFT_THREADS", "2")
     f = parse("z/4 + 1/z", singular_points=(0,))
-    field = GridField(f, DiskSampler(rings=16, points_per_ring=128))  # on two threads
+    field = GridField(f, DiskSampler(rings=16, points_per_ring=128))
     field.verdict("bc", 0.5)
     field.order_estimate("bc")  # the polish evaluates f pointwise
     for k in range(100):

@@ -51,6 +51,13 @@ def test_mobius_maps_have_zero_schwarzian():
         assert np.max(np.abs(schwarzian(parse(text), z))) <= 1e-12
 
 
+def test_a_derivative_beyond_float_range_is_not_a_zero():
+    # |f'| = 1.5e308 * sqrt(2) overflows abs(): far from zero, not a traceback
+    f = parse("1.5e308*z + 1.5e308*i*z")
+    assert pre_schwarzian(f, 0.5) == 0
+    assert schwarzian(f, 0.5) == 0
+
+
 def test_pre_schwarzian_of_koebe():
     # f''/f' = (4 + 2z)/((1-z)(1+... )) -- check against sympy instead of algebra
     z = sp.symbols("z")

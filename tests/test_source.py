@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import and every private
+module-level name is used."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,39 @@ def test_the_checker_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict) -> list:
+    """Module-level ``_x`` functions, classes and assignments that no module
+    in ``sources`` (name -> text) reads, imports or looks up as an attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted((module, name) for module, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in used)
+
+
+def test_the_checker_sees_dead_private_names():
+    sources = {
+        "a": "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n_D: int = 3\n",
+        "b": "from a import _D\nimport a\na._B\n",
+    }
+    assert dead_private_names(sources) == [("a", "_C"), ("a", "_f")]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []
