@@ -1,5 +1,5 @@
-"""One-variable complex expression trees: parsing, jet evaluation,
-symbolic differentiation, and printable round-trip form.
+"""One-variable complex expression trees: parsing, jet and Taylor-series
+evaluation, symbolic differentiation, and printable round-trip form.
 
 Grammar (lowest to highest precedence)::
 
@@ -276,7 +276,7 @@ class _Plan(NamedTuple):
     types: tuple = None  # scalar path: (walk, own) type samples
 
 
-_FOLD, _SCALAR, _ARRAY = "fold", "scalar", "array"
+_FOLD, _SCALAR, _ARRAY, _SERIES = "fold", "scalar", "array", "series"
 _FULL = (jets.VALUE,) * 4  # kinds that prune nothing
 _IDENTITY = (complex(1.0), 0.0, 0.0, 0.0)  # the jet of the constant 1, as Jet3 seeds it
 # one value per type a scalar walk holds, away from every singular point
@@ -457,9 +457,125 @@ def _build(node, mode) -> _Plan:
     raise TypeError(type(node))  # pragma: no cover
 
 
+# -- the series mode ---------------------------------------------------------
+#
+# FunctionExpr.series is a third evaluator, built on first use like the two
+# above: (x0, n) -> the complex Taylor coefficients of the map about the real
+# point x0 through order n, from jets' truncated-series recurrences.  A node
+# becomes a _Series: ``const`` holds a constant subtree's value, folded
+# through the same recurrences at order 0, and ``fn`` computes the
+# coefficients.  A constant subtree that hits a singular point raises its
+# error on every call, as in the jet modes.
+
+
+class _Series(NamedTuple):
+    fn: object  # (x0, n) -> complex coefficients 0..n
+    const: object = None  # the folded value of a constant subtree
+
+
+def _constant_series(value) -> _Series:
+    def fn(x0, n):
+        s = np.zeros(n + 1, dtype=complex)
+        s[0] = value
+        return s
+
+    return _Series(fn, value)
+
+
+def _folded(op, *values) -> _Series:
+    """A constant node: ``op`` on order-0 series of its constant children."""
+    try:
+        return _constant_series(op(*(np.array([v], dtype=complex) for v in values))[0])
+    except GftError as exc:
+        cls, args = type(exc), exc.args
+
+        def fn(x0, n):
+            raise cls(*args)
+
+        return _Series(fn)
+
+
+def _series_unary(op, a: _Series) -> _Series:
+    if a.const is not None:
+        return _folded(op, a.const)
+    fa = a.fn
+    return _Series(lambda x0, n: op(fa(x0, n)))
+
+
+def _series_sum(a: _Series, b: _Series, sign: float) -> _Series:
+    """a + b (sign 1) or a - b (sign -1)."""
+    if a.const is not None and b.const is not None:
+        return _folded(lambda u, v: u + sign * v, a.const, b.const)
+    fa, fb = a.fn, b.fn
+    if sign > 0:
+        return _Series(lambda x0, n: fa(x0, n) + fb(x0, n))
+    return _Series(lambda x0, n: fa(x0, n) - fb(x0, n))
+
+
+def _series_times(a: _Series, b: _Series) -> _Series:
+    if a.const is not None and b.const is not None:
+        return _folded(jets.series_product, a.const, b.const)
+    if a.const is not None:
+        a, b = b, a
+    fa = a.fn
+    if b.const is not None:
+        c = b.const
+        return _Series(lambda x0, n: fa(x0, n) * c)
+    fb = b.fn
+    return _Series(lambda x0, n: jets.series_product(fa(x0, n), fb(x0, n)))
+
+
+def _build_series(node) -> _Series:
+    if isinstance(node, _Const):
+        return _constant_series(complex(node.value))
+    if isinstance(node, _Var):
+        def var(x0, n):
+            s = np.zeros(n + 1, dtype=complex)
+            s[0] = x0
+            s[1:2] = 1.0
+            return s
+
+        return _Series(var)
+    if isinstance(node, _Neg):
+        return _series_unary(np.negative, _build_series(node.child))
+    if isinstance(node, _Bin):
+        a, b = _build_series(node.left), _build_series(node.right)
+        if isinstance(node, _Mul):
+            return _series_times(a, b)
+        if isinstance(node, _Div):
+            return _series_times(a, _series_unary(jets.series_reciprocal, b))
+        return _series_sum(a, b, 1.0 if isinstance(node, _Add) else -1.0)
+    if isinstance(node, _Fun):
+        return _series_unary(jets.SERIES[node.name], _build_series(node.child))
+    if isinstance(node, _Pow):
+        a = _build_series(node.child)
+        c = float(node.exponent)
+        if not c.is_integer():
+            return _series_unary(jets.series_pow(c), a)
+        k = int(c)
+        if k == 0:  # the constant 1, after evaluating the base for its errors
+            if a.const is not None:
+                return _constant_series(complex(1.0))
+            fa, one = a.fn, _constant_series(complex(1.0)).fn
+            return _Series(lambda x0, n: (fa(x0, n), one(x0, n))[1])
+        p = _series_unary(jets.series_int_pow(abs(k)), a)
+        return p if k > 0 else _series_unary(jets.series_reciprocal, p)
+    raise TypeError(type(node))  # pragma: no cover
+
+
 def _build_path(root, mode):
     """The jet evaluator z -> Jet3 of the tree ``root`` for scalar or for
-    array z (``mode``)."""
+    array z (``mode``), or its series evaluator (x0, n) -> coefficients."""
+    if mode == _SERIES:
+        with np.errstate(all="ignore"):
+            fn = _build_series(root).fn
+
+        def series(x0, n):
+            with np.errstate(all="ignore"):  # overflow and singular values stay inf or NaN
+                return fn(float(x0), int(n))
+
+        return series
+
     with np.errstate(all="ignore"):  # folding constants may overflow, as the walk would
         plan = _build(root, mode)
     fn = plan.fn
@@ -671,9 +787,16 @@ class FunctionExpr:
         """The jet evaluator for an array z."""
         return _build_path(self.root, _ARRAY)
 
+    @cached_property
+    def series(self):
+        """The series evaluator: (x0, n) -> the complex Taylor coefficients
+        of the map about the real point x0 through order n."""
+        return _build_path(self.root, _SERIES)
+
     def __getstate__(self):
         # the evaluators are closures; a copy rebuilds them on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("scalar_jet", "array_jet")}
+        built = ("scalar_jet", "array_jet", "series")
+        return {k: v for k, v in self.__dict__.items() if k not in built}
 
     def value(self, z):
         return self.jet(z).v0

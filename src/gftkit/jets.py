@@ -14,6 +14,8 @@ Jet3 arithmetic is the reference.  Maps parsed by ``expressions`` evaluate
 through an evaluator built once per map from the same outer-derivative
 helpers and from ``rule`` / ``linear_rule`` below, which compile the
 product and chain rules without the products a structural 0 or 1 makes.
+The same evaluator's series mode uses the truncated Taylor series
+recurrences at the end of this module, to any order.
 """
 
 from __future__ import annotations
@@ -482,3 +484,151 @@ def linear_rule(op, kinds):
             fns.append((_add_fn if op == "+" else _sub_fn)(k, 4 + k))
             out.append(_computed([k, 4 + k], kinds))
     return _assemble(fns), tuple(out)
+
+
+# -- truncated Taylor series ------------------------------------------------
+#
+# The series mode of the built evaluator works on complex coefficient arrays
+# s with f(x0 + t) = sum_k s[k] t^k + O(t^(n+1)), n + 1 = len(s), about one
+# real point x0.  The nonlinear kinds use the standard recurrences for
+# truncated power series (Griewank & Walther, Evaluating Derivatives, 2nd
+# ed., SIAM 2008, ch. 13): each new coefficient is a dot product with the
+# ones before it.  Each guards the singular point its outer helper guards,
+# with the same error, and every input holds at least the constant term.
+
+
+def series_product(a, b):
+    return np.convolve(a, b)[: a.size]
+
+
+def series_int_pow(n: int):
+    """a^n for an integer n >= 1 by repeated squaring, as _int_pow."""
+
+    def pw(a):
+        result, base, m = None, a, n
+        while m:
+            if m & 1:
+                result = base if result is None else series_product(result, base)
+            m >>= 1
+            if m:
+                base = series_product(base, base)
+        return result
+
+    return pw
+
+
+def _weighted(a):
+    """k * a[k], the coefficients of t * a'(t)."""
+    return np.arange(a.size) * a
+
+
+def series_reciprocal(a):
+    if near_zero(a[0]):
+        raise DivisionAtZero("division by zero value")
+    r = np.empty_like(a)
+    r[0] = 1.0 / a[0]
+    for k in range(1, a.size):
+        r[k] = -np.dot(a[1 : k + 1], r[k - 1 :: -1]) * r[0]
+    return r
+
+
+def _series_exp(a):
+    e, ja = np.empty_like(a), _weighted(a)
+    e[0] = np.exp(a[0])
+    for k in range(1, a.size):
+        e[k] = np.dot(ja[1 : k + 1], e[k - 1 :: -1]) / k
+    return e
+
+
+def _series_log(a):
+    if near_zero(a[0]):
+        raise BranchPointOrPole("log at zero")
+    lg = np.empty_like(a)
+    jl = np.zeros_like(a)  # k * lg[k], filled as lg grows
+    lg[0] = np.log(a[0])
+    for k in range(1, a.size):
+        # a * lg' = a': k a0 lg_k = k a_k - sum_{j=1}^{k-1} a_j (k-j) lg_{k-j}
+        lg[k] = (k * a[k] - np.dot(a[1:k], jl[k - 1 : 0 : -1])) / (k * a[0])
+        jl[k] = k * lg[k]
+    return lg
+
+
+def _series_power(a, p0, c):
+    """a^c from its value p0 = a0^c: a p' = c a' p, so
+    k a0 p_k = sum_{j=1}^k ((c + 1) j - k) a_j p_{k-j}."""
+    p, j = np.empty_like(a), np.arange(a.size)
+    p[0] = p0
+    for k in range(1, a.size):
+        w = ((c + 1.0) * j[1 : k + 1] - k) * a[1 : k + 1]
+        p[k] = np.dot(w, p[k - 1 :: -1]) / (k * a[0])
+    return p
+
+
+def series_pow(c: float):
+    """The principal power a^c (c real, not an integer)."""
+
+    def pw(a):
+        if near_zero(a[0]):
+            raise BranchPointOrPole("non-integer power at zero")
+        return _series_power(a, np.power(a[0], c), c)
+
+    return pw
+
+
+def _series_sqrt(a):
+    if near_zero(a[0]):
+        raise BranchPointOrPole("sqrt at zero")
+    return _series_power(a, np.sqrt(a[0]), 0.5)
+
+
+def _sin_cos(a):
+    s, c, ja = np.empty_like(a), np.empty_like(a), _weighted(a)
+    s[0], c[0] = np.sin(a[0]), np.cos(a[0])
+    for k in range(1, a.size):
+        # s' = c a', c' = -s a'
+        s[k] = np.dot(ja[1 : k + 1], c[k - 1 :: -1]) / k
+        c[k] = -np.dot(ja[1 : k + 1], s[k - 1 :: -1]) / k
+    return s, c
+
+
+def _series_sin(a):
+    return _sin_cos(a)[0]
+
+
+def _series_cos(a):
+    return _sin_cos(a)[1]
+
+
+def _tan_like(a, t0, sign):
+    """tan (sign 1) or cot (sign -1) from its value t0: t' = sign (1 + t^2) a'."""
+    t, w, ja = np.empty_like(a), np.empty_like(a), _weighted(a)
+    t[0] = t0
+    w[0] = 1.0 + t0 * t0
+    for k in range(1, a.size):
+        t[k] = sign * np.dot(ja[1 : k + 1], w[k - 1 :: -1]) / k
+        w[k] = np.dot(t[: k + 1], t[k::-1])
+    return t
+
+
+def _series_tan(a):
+    if near_zero(np.cos(a[0])):
+        raise BranchPointOrPole("tan at a pole")
+    return _tan_like(a, np.tan(a[0]), 1.0)
+
+
+def _series_cot(a):
+    s = np.sin(a[0])
+    if near_zero(s):
+        raise BranchPointOrPole("cot at a pole")
+    return _tan_like(a, np.cos(a[0]) / s, -1.0)
+
+
+SERIES = {
+    "exp": _series_exp,
+    "log": _series_log,
+    "sqrt": _series_sqrt,
+    "sin": _series_sin,
+    "cos": _series_cos,
+    "tan": _series_tan,
+    "cot": _series_cot,
+}

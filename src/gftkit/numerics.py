@@ -64,7 +64,7 @@ def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200)
     """Golden-section minimum of a unimodal fn on [a, b] -> (x, fx).
 
     Deterministic and derivative-free; fine for the short refinement
-    sweeps where scipy's bracketing would be overkill.
+    sweeps where a bracketing optimiser would be overkill.
     """
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h

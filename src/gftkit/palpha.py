@@ -9,12 +9,15 @@ of (1 - x) there.
 
 Everything downstream (Schwarzian sufficiency, sharpness probes) reduces
 to this one ODE, so the integrator settings here are deliberately tight.
-The solve stops at the first zero of y: no caller uses y past it, and
-for large q it would pay for every later oscillation.
-
-scipy.integrate is imported inside integrate_ivp and integrate_q (and
-rays._solve_rays), on first use: it is most of the package's import
-time, and the grid-only routes never need it.
+The solve is a Taylor-series stepper (Jorba & Zou, Experimental Math. 14
+(2005) 99-117): each step expands q about its left end (the expression's
+series evaluator, or a table's linear piece), builds y's series by
+(k+2)(k+1) y_{k+2} = -sum_j q_j y_{k-j}, and keeps it as the dense output.
+Every step's q polynomial is checked against q itself at the step's middle
+and end.  The solve stops at the first zero of y: no caller uses y past it,
+and for large q it would pay for every later oscillation.  The q integral
+steps the same q polynomials and integrates each exactly, so neither
+needs an external ODE or quadrature library.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BranchPointOrPole,
+    DivisionAtZero,
     ExtrapolationDiverged,
     NonnegativityViolated,
     QuadratureFailed,
@@ -38,6 +43,17 @@ _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
 _IMAG_TOL = 1e-12  # relative allowance for roundoff in Im q
 # interior points where an expression q is screened once for Im q != 0
 _PROBES = np.linspace(0.0, 1.0, 34)[1:-1]
+_ORDER = 24  # Taylor order of y per step; q enters through order _ORDER - 2
+# Chebyshev points of the first kind on (0, 1): they keep off a branch point
+# at the step start
+_CHEB = 0.5 - 0.5 * np.cos(np.pi * (np.arange(12) + 0.5) / 12)
+
+
+def _screened(v: float, x) -> float:
+    """A scalar q value through the nonnegativity screen."""
+    if v < _NEG_TOL:
+        raise NonnegativityViolated(f"q({x}) = {v} < 0")
+    return v if v > 0.0 or v != v else 0.0  # as np.maximum: NaN stays, -0.0 -> 0.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,7 @@ class QFunction:
     Calls validate nonnegativity on every evaluated batch: a value below
     -1e-12 raises NonnegativityViolated, values inside the roundoff band
     clamp to zero, NaN passes through.  A scalar x takes a float-only path
-    with the same checks and results (the ODE right-hand side and quad
-    call q one point at a time).  An expression is screened once, at
+    with the same checks and results.  An expression is screened once, at
     construction, on fixed probe points in (0, 1): ValueError if q takes a
     complex value there (|Im q| > 1e-12 max(1, |Re q|); non-finite values
     are skipped).
@@ -58,13 +73,15 @@ class QFunction:
     label: str
     _fn: object = field(repr=False, compare=False)
     _knots: object = field(default=None, repr=False, compare=False)  # a table's abscissae
+    _series: object = field(default=None, repr=False, compare=False)  # (x0, n) -> coefficients
 
     @classmethod
     def constant(cls, c: float) -> "QFunction":
         c = float(c)
         if c < 0.0:
             raise NonnegativityViolated(f"constant q = {c} < 0")
-        return cls("constant", repr(c), lambda x: np.full_like(np.asarray(x, float), c))
+        return cls("constant", repr(c), lambda x: np.full_like(np.asarray(x, float), c),
+                   _series=lambda x0, n: np.array([c]))
 
     @classmethod
     def from_expression(cls, expr) -> "QFunction":
@@ -84,7 +101,10 @@ class QFunction:
         def fn(x):
             return np.real(e.value(np.asarray(x, float).astype(complex)))
 
-        return cls("expression", str(e), fn)
+        def series(x0, n):
+            return e.series(x0, n).real
+
+        return cls("expression", str(e), fn, _series=series)
 
     @classmethod
     def from_samples(cls, xs, values) -> "QFunction":
@@ -97,19 +117,150 @@ class QFunction:
         if vs.min() < _NEG_TOL:
             raise NonnegativityViolated(f"sampled q dips to {vs.min()}")
         label = f"samples[{xs.size}] on [{xs[0]:g}, {xs[-1]:g}]"
-        return cls("samples", label, lambda x: np.interp(np.asarray(x, float), xs, vs), xs)
+        slopes = np.concatenate([[0.0], np.diff(vs) / np.diff(xs), [0.0]])
+
+        def series(x0, n):  # the linear piece right of x0 (constant beyond the ends)
+            i = int(np.searchsorted(xs, x0, side="right"))
+            return np.array([np.interp(x0, xs, vs), slopes[i]])
+
+        return cls("samples", label, lambda x: np.interp(np.asarray(x, float), xs, vs), xs,
+                   series)
 
     def __call__(self, x):
         if is_scalar(x):
-            v = float(self._fn(x))
-            if v < _NEG_TOL:
-                raise NonnegativityViolated(f"q({x}) = {v} < 0")
-            return v if v > 0.0 or v != v else 0.0  # as np.maximum: NaN stays, -0.0 -> 0.0
+            return _screened(float(self._fn(x)), x)
         v = self._fn(x)
         vmin = float(np.min(v))
         if vmin < _NEG_TOL:
             raise NonnegativityViolated(f"q(...) = {vmin} < 0")
         return np.maximum(v, 0.0)
+
+    def _reach(self, x0: float, x_end: float) -> float:
+        """The end of the stretch right of x0 (up to x_end) on which q is one
+        analytic piece: the next table knot, or x_end."""
+        if self._knots is None:
+            return x_end
+        i = int(np.searchsorted(self._knots, x0, side="right"))
+        return min(x_end, float(self._knots[i])) if i < self._knots.size else x_end
+
+    def _piece(self, x0: float, h: float):
+        """q right of x0 as real coefficients in t = x - x0, trailing zeros
+        dropped, and the q evaluations spent.  The Taylor series through
+        order _ORDER - 2 (a table's linear piece), one evaluation; where q
+        has no series at x0 (x^0.5 at x = 0), the polynomial through q at
+        Chebyshev points inside [x0, x0 + h], which holds for this h only."""
+        try:
+            c = np.asarray(self._series(x0, _ORDER - 2), dtype=float)
+            c[0] = _screened(c[0], x0)
+            spent = 1
+        except (BranchPointOrPole, DivisionAtZero):
+            t = h * _CHEB
+            fit = np.polynomial.Chebyshev.fit(t, self(x0 + t), t.size - 1, domain=[0.0, h])
+            c, spent = fit.convert(kind=np.polynomial.Polynomial).coef, t.size
+        nz = np.flatnonzero(c)
+        return c[: nz[-1] + 1 if nz.size else 1], spent
+
+    def _value(self, x: float) -> float:
+        """q(x) through its series evaluator at order 0 (for an expression, a
+        value-only evaluation), screened as a call is."""
+        return _screened(float(self._series(x, 0)[0]), x)
+
+
+def _horner(coef, t):
+    """sum_k coef[k] t^k for a scalar or array t."""
+    v = coef[-1] + 0.0 * t
+    for c in coef[-2::-1]:
+        v = v * t + c
+    return v
+
+
+def _agrees(q: QFunction, coef, x0: float, h: float, tol: float) -> bool:
+    """Whether the q polynomial matches q itself at the step's middle and
+    end: a mismatch d moves y' by about d * h * y over the step, so d * h
+    must stay within tol of max(1, q)."""
+    coef = coef.tolist()
+    for t in (0.5 * h, h):
+        qv = q._value(x0 + t)
+        if not abs(_horner(coef, t) - qv) * h <= tol * max(1.0, qv):
+            return False
+    return True
+
+
+def _q_step(coef, h: float, rel_tol: float) -> float:
+    """A step no longer than h at which the last two terms of q's truncated
+    series fall to rel_tol / 10 of max(1, q).  A trimmed series ends in
+    zeros and gives no bound: whether it holds (a polynomial q) or not
+    (x^200 at x = 0) is left to the check against q."""
+    if coef.size < _ORDER - 1:
+        return h
+    eps = 0.1 * rel_tol * max(1.0, coef[0])
+    for j in (_ORDER - 3, _ORDER - 2):
+        if coef[j] != 0.0:
+            h = min(h, (eps / abs(coef[j])) ** (1.0 / j))
+    return h
+
+
+def _halve(h: float, x0: float) -> float:
+    h *= 0.5
+    if h < 8.0 * np.spacing(max(1.0, abs(x0))):
+        raise StepSizeUnderflow(f"no step from x = {x0!r} keeps the q polynomial on q")
+    return h
+
+
+def _y_series(qc, y0: float, y1: float) -> list:
+    """Taylor coefficients of y through order _ORDER for y'' = -q y:
+    (k+2)(k+1) y_{k+2} = -sum_j q_j y_{k-j}."""
+    ys = [y0, y1]
+    qc = qc.tolist()
+    m = len(qc)
+    for k in range(_ORDER - 1):
+        s = 0.0
+        for j in range(min(k + 1, m)):
+            s += qc[j] * ys[k - j]
+        ys.append(-s / ((k + 2) * (k + 1)))
+    return ys
+
+
+def _y_step(ys: list, h: float, eps: float) -> float:
+    """A step no longer than h whose truncated terms stay below eps times
+    the step's scale s = |y0| + h |y1|: h = rho * eps^(1/_ORDER), with the
+    radius of convergence rho estimated as min_j (s / |y_j|)^(1/j) over the
+    last _ORDER/2 coefficients.  Reading that many, not only the last two,
+    sees through the gaps of y's series where q (nearly) vanishes at the
+    step start: q = 0.06 + 7x at x = 0 makes every third coefficient ~1e3
+    times the other two."""
+    window = range(_ORDER // 2, _ORDER + 1)
+    shrink = eps ** (1.0 / _ORDER)
+    for _ in range(2):  # the scale shrinks with h: one more pass tightens it
+        scale = abs(ys[0]) + h * abs(ys[1])
+        for j in window:
+            if ys[j] != 0.0:
+                h = min(h, shrink * (scale / abs(ys[j])) ** (1.0 / j))
+    return h
+
+
+def _first_root(ys: list, h: float, y_end: float) -> float:
+    """The one root in (0, h] of a step polynomial that goes from y(0) > 0
+    to y(h) = y_end <= 0: Newton's method, kept inside a shrinking bracket."""
+    lo, hi = 0.0, h
+    t = h * ys[0] / (ys[0] - y_end)
+    for _ in range(100):
+        v, d = ys[-1], 0.0
+        for a in ys[-2::-1]:
+            d = d * t + v
+            v = v * t + a
+        if v > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = v / d if d != 0.0 else math.inf
+        new = t - step
+        if not (lo < new < hi):
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= 2.0 * np.spacing(t) or hi - lo <= 2.0 * np.spacing(hi):
+            return new
+        t = new
+    return t
 
 
 @dataclass(frozen=True)
@@ -119,6 +270,9 @@ class OdeSolution:
     The solve ends at 1 - eps_end, or earlier at ``first_zero``, the first
     x > 0 with y = 0 (None when y stays positive).  ``nodes`` are the
     reporting nodes up to that end; ``at`` refuses points past it.
+    ``n_rhs`` counts the points at which the stepper evaluated q: one per
+    Taylor expansion (twelve per interpolant where q has no series) and the
+    two check points of every tried step.
     """
 
     nodes: np.ndarray
@@ -132,7 +286,7 @@ class OdeSolution:
 
     def at(self, x):
         """(y, y') anywhere in [0, end], end = first_zero or 1 - eps_end,
-        from the dense interpolant; ValueError outside, where it would
+        from the step polynomials; ValueError outside, where they would
         silently extrapolate."""
         x_arr = np.asarray(x, dtype=float)
         end = 1.0 - self.eps_end if self.first_zero is None else self.first_zero
@@ -148,68 +302,97 @@ class OdeSolution:
         return yp / y
 
 
-def integrate_ivp(
-    q: QFunction,
-    eps_end: float = 1e-6,
-    rel_tol: float = 1e-10,
-    max_step: float = np.inf,
-) -> OdeSolution:
+def _reporting_nodes(eps_end: float) -> np.ndarray:
+    """>= 512 fixed nodes on [0, 1 - eps_end], geometrically clustered at
+    the right end."""
+    base = np.linspace(0.0, 1.0 - eps_end, 385)
+    tail = 1.0 - np.geomspace(0.5, eps_end, 161)
+    return np.unique(np.concatenate([base, tail]))
+
+
+def _dense(starts, polys):
+    """(y, y') at x from the step polynomials: one gather and one Horner
+    pass over every requested point."""
+    starts = np.asarray(starts)
+    Y = np.array(polys)
+    D = Y[:, 1:] * np.arange(1, Y.shape[1])
+
+    def dense(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, starts.size - 1)
+        t = x - starts[i]
+        return np.array([_horner(Y[i].T, t), _horner(D[i].T, t)])
+
+    return dense
+
+
+def integrate_ivp(q: QFunction, eps_end: float = 1e-6, rel_tol: float = 1e-10) -> OdeSolution:
     """Integrate the base solution out to x = 1 - eps_end, or to the first
     zero of y if that comes first.
 
-    The zero is a terminal event on y (direction -1), located on the
-    dense interpolant to roundoff and reported as ``first_zero``; the
-    event does not change the steps, so a positive solution is the same
-    as without it.  Fixed reporting nodes (>= 512 on the full span,
-    geometrically clustered at the right end) make downstream scans
-    reproducible; the dense interpolant covers everything in between.
-    Cap ``max_step`` when downstream math differentiates the dense output
-    (the free interpolant loses accuracy on very long steps).
+    Each Taylor step is as long as the decay of q's and y's coefficients
+    allows at rel_tol (see _q_step, _y_step), ends at a table knot, and
+    spans less than pi / sqrt(max |q|), so by Sturm's comparison it holds
+    at most one zero of y.  A step whose q polynomial misses q at its
+    middle or end is halved.  The first zero is the root of the step
+    polynomial where y changes sign, polished by Newton's method, and
+    reported as ``first_zero``.  Fixed reporting nodes (>= 512 on the full
+    span, geometrically clustered at the right end) make downstream scans
+    reproducible, and q is screened for negative values on them; the step
+    polynomials cover everything in between.
     """
     if not (1e-8 <= eps_end <= 1e-2):
         raise ValueError(f"eps_end must lie in [1e-8, 1e-2], got {eps_end}")
     if rel_tol > 1e-8:
         raise ValueError(f"rel_tol must be <= 1e-8, got {rel_tol}")
-    from scipy.integrate import solve_ivp
-
     x_end = 1.0 - eps_end
-    base = np.linspace(0.0, x_end, 385)
-    tail = 1.0 - np.geomspace(0.5, eps_end, 161)
-    nodes = np.unique(np.concatenate([base, tail]))
+    eps = rel_tol / _ORDER  # y' carries ~_ORDER times y's truncation error
+    starts, polys, n_q = [], [], 0
+    x0, y0, y1, first_zero = 0.0, 0.0, 1.0, None
+    while x0 < x_end:
+        x1 = q._reach(x0, x_end)
+        h = x1 - x0
+        while True:
+            coef, spent = q._piece(x0, h)
+            ys = _y_series(coef, y0, y1)
+            h = _y_step(ys, _q_step(coef, h, rel_tol), eps)
+            bound = float(np.sum(np.abs(coef) * h ** np.arange(coef.size)))
+            if bound > 0.0:  # Sturm: zeros of y lie >= pi / sqrt(max q) apart
+                h = min(h, 0.9 * math.pi / math.sqrt(bound))
+            n_q += spent + 2
+            while not _agrees(q, coef, x0, h, rel_tol):
+                h = _halve(h, x0)
+                if spent > 1:  # an interpolant holds for its own h only: refit
+                    break
+                n_q += 2
+            else:
+                break
+        x_next = x1 if x0 + h >= x1 else x0 + h
+        h = x_next - x0
+        starts.append(x0)
+        polys.append(ys)
+        y_end = _horner(ys, h)
+        if y_end <= 0.0:
+            first_zero = x0 + _first_root(ys, h, y_end)
+            break
+        y1 = _horner([k * c for k, c in enumerate(ys)][1:], h)
+        x0, y0 = x_next, y_end
 
-    def rhs(x, s):
-        return (s[1], -q(x) * s[0])
-
-    def y_vanishes(x, s):
-        return s[0]
-
-    y_vanishes.terminal = True
-    y_vanishes.direction = -1.0  # y(0) = 0 on the way up is no event
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, x_end),
-        [0.0, 1.0],
-        method="DOP853",
-        rtol=rel_tol,
-        atol=1e-14,
-        dense_output=True,
-        t_eval=nodes,
-        events=y_vanishes,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"integrator stopped: {sol.message}")
-    zeros = sol.t_events[0]
+    dense = _dense(starts, polys)
+    nodes = _reporting_nodes(eps_end)
+    if first_zero is not None:
+        nodes = nodes[nodes < first_zero]
+    q(nodes)  # the nonnegativity screen on every reporting node
+    y, yp = dense(nodes)
     return OdeSolution(
-        nodes=sol.t,
-        y=sol.y[0],
-        yp=sol.y[1],
+        nodes=nodes,
+        y=y,
+        yp=yp,
         eps_end=eps_end,
         rel_tol=rel_tol,
-        n_rhs=int(sol.nfev),
-        first_zero=float(zeros[0]) if zeros.size else None,
-        dense=sol.sol,
+        n_rhs=n_q,
+        first_zero=first_zero,
+        dense=dense,
     )
 
 
@@ -226,11 +409,27 @@ class PalphaVerdict:
     tol: float
     n_rhs: int
 
-    def member_at(self, alpha: float) -> bool:
-        return self.positive_on_01 and self.limit_estimate >= alpha - self.tol
-
 
 _LADDER_SETTLE = 1e-5
+
+
+def _boundary_limit(sol: OdeSolution):
+    """(limit, extrapolants, raw ladder) of y'/y at x -> 1 from a positive
+    solution: Richardson along x_k = 1 - 2^-k, k = 7..20 (or as far as
+    eps_end allows); ExtrapolationDiverged carries the raw tail if the last
+    three extrapolants disagree beyond 1e-5."""
+    k_max = min(20, int(math.floor(-math.log2(sol.eps_end))) - 1)
+    ks = np.arange(7, k_max + 1)
+    raw = tuple(float(v) for v in sol.log_slope(1.0 - np.power(2.0, -ks.astype(float))))
+    diag = richardson(raw, ratio=2.0)
+    if len(diag) < 3 or not (
+        abs(diag[-1] - diag[-2]) <= _LADDER_SETTLE
+        and abs(diag[-2] - diag[-3]) <= _LADDER_SETTLE
+    ):
+        raise ExtrapolationDiverged(
+            "boundary limit of y'/y did not settle to 1e-5", tail=raw[-5:]
+        )
+    return float(diag[-1]), tuple(float(d) for d in diag), raw
 
 
 def check_palpha(
@@ -252,24 +451,9 @@ def check_palpha(
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     sol = integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
     positive = sol.first_zero is None
-    limit = math.nan
-    extrapolants = ()
-    raw = ()
+    limit, extrapolants, raw = math.nan, (), ()
     if positive:
-        k_max = min(20, int(math.floor(-math.log2(eps_end))) - 1)
-        ks = np.arange(7, k_max + 1)
-        xs = 1.0 - np.power(2.0, -ks.astype(float))
-        raw = tuple(float(sol.log_slope(x)) for x in xs)
-        diag = richardson(raw, ratio=2.0)
-        extrapolants = tuple(float(d) for d in diag)
-        if len(diag) < 3 or not (
-            abs(diag[-1] - diag[-2]) <= _LADDER_SETTLE
-            and abs(diag[-2] - diag[-3]) <= _LADDER_SETTLE
-        ):
-            raise ExtrapolationDiverged(
-                "boundary limit of y'/y did not settle to 1e-5", tail=raw[-5:]
-            )
-        limit = float(diag[-1])
+        limit, extrapolants, raw = _boundary_limit(sol)
 
     member = positive and limit >= alpha - tol
     return PalphaVerdict(
@@ -286,31 +470,49 @@ def check_palpha(
     )
 
 
+def _integral(q: QFunction, a: float, b: float, rel_tol: float) -> float:
+    """The integral of q over [a, b], one exactly integrated q polynomial per
+    step; steps as in integrate_ivp, without y."""
+    total, x0 = 0.0, a
+    while x0 < b:
+        h = b - x0
+        coef, spent = q._piece(x0, h)
+        h = _q_step(coef, h, rel_tol)
+        while not _agrees(q, coef, x0, h, rel_tol):
+            h = _halve(h, x0)
+            if spent > 1:
+                coef = q._piece(x0, h)[0]
+        x_next = b if x0 + h >= b else x0 + h
+        h = x_next - x0
+        total += h * _horner([c / (j + 1) for j, c in enumerate(coef.tolist())], h)
+        x0 = x_next
+    return total
+
+
 def integrate_q(q: QFunction, abs_tol: float = 1e-10) -> float:
     """Integral of q over [0, 1).
 
     A sample table is piecewise linear, with np.interp's constant ends
     outside its knots, so its integral is the exact trapezoid sum over the
-    knots inside (0, 1) and the ends 0, 1.  Other q are adaptive with
-    geometric end segments: [0, 1/2] in one adaptive pass, then segments
-    [1-2^-k, 1-2^-(k-1)] marching toward 1 until two consecutive segments
-    have decayed below the cutoff; a single small segment is not enough,
-    because weights like (n+1) x^n hide their mass many halvings past 1/2.
-    Raises QuadratureFailed if the segments have not decayed by k = 60.
+    knots inside (0, 1) and the ends 0, 1.  Other q integrate their step
+    polynomials exactly over geometric end segments: [0, 1/2], then
+    segments [1-2^-k, 1-2^-(k-1)] marching toward 1 until two consecutive
+    segments have decayed below the cutoff; a single small segment is not
+    enough, because weights like (n+1) x^n hide their mass many halvings
+    past 1/2.  Raises QuadratureFailed if the segments have not decayed by
+    k = 60.
     """
     if q._knots is not None:
         xs = q._knots
         pts = np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)], [1.0]])
         return float(np.trapezoid(q(pts), pts))
 
-    from scipy.integrate import quad
-
-    total, _ = quad(q, 0.0, 0.5, epsabs=abs_tol / 10.0, epsrel=1e-12, limit=200)
+    total = _integral(q, 0.0, 0.5, 1e-12)
     cutoff = max(abs_tol / 10.0, 1e-16)
     prev = math.inf
     for k in range(2, 61):
         a, b = 1.0 - 2.0 ** -(k - 1), 1.0 - 2.0**-k
-        seg, _ = quad(q, a, b, epsabs=cutoff / 4.0, epsrel=1e-12, limit=200)
+        seg = _integral(q, a, b, 1e-12)
         total += seg
         if abs(seg) < cutoff and prev < cutoff and abs(seg) <= prev:
             return float(total)
@@ -399,16 +601,19 @@ def sharpness_construct(
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     coeff = (1.0 - beta) * (n + 1)
     q = QFunction.from_expression(f"{coeff!r}*x^{int(n)}")
-    sol = integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
+    # one solve serves the scan (on the reporting nodes of an eps_end solve)
+    # and the boundary limit (on check_palpha's ladder)
+    sol = integrate_ivp(q, eps_end=min(eps_end, 2.0**-21), rel_tol=rel_tol)
 
     # no crossing to search for: y >= floor * x > 0 and x y'/y >= floor > beta
-    xs = sol.nodes[1:]
-    ratios = xs * sol.yp[1:] / sol.y[1:]
+    xs = _reporting_nodes(eps_end)[1:]
+    y, yp = sol.at(xs)
+    ratios = xs * yp / y
     i_min = int(np.argmin(ratios))
 
     # boundary limit for the diagnostics; tolerate a non-settling ladder
     try:
-        limit = check_palpha(q, 0.0, rel_tol=rel_tol).limit_estimate
+        limit = _boundary_limit(sol)[0]
     except ExtrapolationDiverged:
         limit = math.nan
 

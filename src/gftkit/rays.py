@@ -108,7 +108,9 @@ def _solve_rays(
     n = thetas.size
     if n < 1:
         raise ValueError("need at least one ray")
-    from scipy.integrate import solve_ivp  # on first use; see palpha
+    # on first use: scipy is most of the package's import time, and only the
+    # ray routes need it
+    from scipy.integrate import solve_ivp
 
     phase = np.exp(1j * thetas)
     rho0 = min(float(rho_start), r_max / 8.0)
@@ -267,11 +269,7 @@ class ReconstructedMap:
             raise ValueError(f"omega must lie in (0, 1 - eps_end), got {omega}")
         self.q = q
         self.omega = float(omega)
-        # short steps keep the dense interpolant clean enough to
-        # finite-difference (schwarzian_fd divides interpolation noise by h)
-        self.solution = _palpha.integrate_ivp(
-            q, eps_end=eps_end, rel_tol=rel_tol, max_step=0.01
-        )
+        self.solution = _palpha.integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
         self._x_hi = 1.0 - eps_end
 
     def _y_checked(self, x):

@@ -315,15 +315,23 @@ import gftkit, gftkit.cli
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
+calls = [
+    ["classify", "--catalog", "mobius_pole", "--family", "bsstar", "--alpha", "0.5",
+     "--rings", "12", "--points", "64"],
+    ["const-q", "--target", "0.5"],
+    ["palpha", "--q-const", "1", "--alpha", "0.5"],
+    ["palpha", "--q", "2*(1-x)", "--alpha", "0.5"],
+    ["sharpness", "--n", "3", "--beta", "0.5"],
+    ["theorem", "--check", "sufficiency", "--catalog", "mobius_pole", "--q-const", "0",
+     "--rings", "12", "--points", "64"],
+    ["factor-check", "--catalog", "mobius_pole", "--rays", "8", "--rings", "12",
+     "--points", "64"],
+]
 states = [scipy_loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
-    gftkit.cli.main(["classify", "--catalog", "mobius_pole", "--family", "bsstar",
-                     "--alpha", "0.5", "--rings", "12", "--points", "64"])
-    states.append(scipy_loaded())
-    gftkit.cli.main(["const-q", "--target", "0.5"])
-    states.append(scipy_loaded())
-    gftkit.cli.main(["palpha", "--q-const", "1", "--alpha", "0.5"])
-    states.append(scipy_loaded())
+    for argv in calls:
+        gftkit.cli.main(argv)
+        states.append(scipy_loaded())
 print(states)
 """
 
@@ -351,5 +359,6 @@ def test_scipy_is_imported_only_by_the_ode_and_quadrature_routes():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    # import, classify, const-q: no scipy; the palpha ODE loads it
-    assert out.strip() == "[False, False, False, True]"
+    # import, classify, const-q, palpha, sharpness and sufficiency: no scipy;
+    # the ray solves of factor-check load it
+    assert out.strip() == "[False, False, False, False, False, False, False, True]"

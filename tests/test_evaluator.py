@@ -204,6 +204,43 @@ def test_jets_agree_with_the_symbolic_route_and_mpmath(text, zs):
             assert _close(symbolic[k], exact[k]), (text, z, k)
 
 
+SERIES_ORDER = 8
+
+
+@settings(RANDOM, max_examples=60)
+@given(EXPRS, st.lists(st.floats(-0.95, 0.95, allow_subnormal=False), min_size=1, max_size=3))
+# every node kind, each away from its singular set
+@example("((z)+(2))*((3)-(z))/(1.5+(z)^2)", [0.3])
+@example("-(exp(z)*sin(z))+cos(z)", [-0.4])
+@example("tan(z)-cot((z)+(2))", [0.2])
+@example("log((2)+(z))*sqrt((3)-(z))", [0.6])
+@example("((1.5)+(z))^-2.25+((2)+(z))^0.5-((z)+(3))^-2", [-0.7])
+@example("((z)*(i))^3+(z)^0+((1+2*i)+(z))^1.5", [0.5])
+def test_series_mode_matches_mpmath_taylor(text, xs):
+    """The series evaluator's coefficients through order 8 against
+    mpmath.taylor at 50 digits, on the real points where every subtree is
+    well conditioned; where the scalar jet hits a singular point, the series
+    raises the same error."""
+    f = parse(text)
+    mp_f = _to_mpmath(f.root)
+    for x in xs:
+        ref = _outcome(f.jet, x)
+        if isinstance(ref, type):
+            with pytest.raises(ref):
+                f.series(x, SERIES_ORDER)
+            continue
+        if not _well_conditioned(f.root, x, gap=0.25):
+            continue
+        got = f.series(x, SERIES_ORDER)
+        assert got.shape == (SERIES_ORDER + 1,) and got.dtype == complex
+        with mpmath.workdps(50):
+            exact = [complex(c) for c in mpmath.taylor(mp_f, mpmath.mpf(x), SERIES_ORDER)]
+        # a gap of 0.25 to every singular point bounds |c_k| by ~4^k times the scale
+        scale = max(1.0, max(abs(c) * 0.25**k for k, c in enumerate(exact)))
+        for k in range(SERIES_ORDER + 1):
+            assert abs(got[k] - exact[k]) * 0.25**k <= 1e-10 * scale, (text, x, k)
+
+
 _MOBIUS = st.tuples(*[st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)] * 4).filter(
     lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 0.5
 )

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gftkit import (
     QFunction,
@@ -19,11 +21,13 @@ from gftkit import (
     sharpness_construct,
 )
 from gftkit.errors import (
+    BranchPointOrPole,
     ExtrapolationDiverged,
     NonnegativityViolated,
     QuadratureFailed,
     TargetOutOfRange,
 )
+from gftkit.numerics import richardson
 
 
 # -- QFunction construction ---------------------------------------------------
@@ -200,13 +204,6 @@ def test_limits_decrease_with_the_coefficient():
     assert all(a > b for a, b in zip(limits, limits[1:]))
 
 
-def test_member_at_reuses_the_ladder():
-    v = check_palpha(QFunction.constant(0.0), 0.0)
-    assert v.member_at(0.9) and v.member_at(0.5)
-    v4 = check_palpha(QFunction.constant(4.0), 0.0)
-    assert not v4.member_at(0.0)
-
-
 def test_verdict_carries_the_rhs_count():
     q = QFunction.from_expression("2*(1-x)")
     v = check_palpha(q, 0.1, eps_end=2.0**-18, rel_tol=1e-11)
@@ -224,6 +221,91 @@ def test_ladder_needs_enough_room():
 def test_alpha_validation():
     with pytest.raises(ValueError):
         check_palpha(QFunction.constant(0.0), 1.0)
+
+
+# -- the Taylor stepper against scipy's DOP853, a test-only oracle ---------------
+
+RANDOM = settings(derandomize=True, database=None, deadline=None, max_examples=25,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def _dop853(q, q_of=None, eps_end=2.0**-21):
+    """(first zero or None, boundary limit or None) of the base solution from
+    scipy's DOP853 at rtol 1e-12, restarted at a table's knots (a kink costs
+    it digits), with check_palpha's Richardson ladder; ``q_of`` evaluates q
+    where q itself cannot."""
+    from scipy.integrate import solve_ivp
+
+    q_of = q if q_of is None else q_of
+
+    def y_vanishes(x, s):
+        return s[0]
+
+    y_vanishes.terminal, y_vanishes.direction = True, -1.0
+    x_end = 1.0 - eps_end
+    knots = [] if q._knots is None else [k for k in q._knots if 0.0 < k < x_end]
+    pieces, state = [], [0.0, 1.0]
+    for a, b in zip([0.0] + knots, knots + [x_end]):
+        sol = solve_ivp(lambda x, s: (s[1], -q_of(x) * s[0]), (a, b), state, method="DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True, events=y_vanishes)
+        if sol.t_events[0].size:
+            return float(sol.t_events[0][0]), None
+        pieces.append((b, sol.sol))
+        state = sol.y[:, -1]
+    xs = 1.0 - 2.0 ** -np.arange(7.0, 21.0)
+    y, yp = np.array([next(f for b, f in pieces if x <= b)(x) for x in xs]).T
+    return None, float(richardson(tuple(yp / y), ratio=2.0)[-1])
+
+
+def _agrees_with_dop853(q, q_of=None):
+    v = check_palpha(q, 0.0)
+    zero, limit = _dop853(q, q_of)
+    assert (v.first_zero is None) == (zero is None), (q.label, v.first_zero, zero)
+    if zero is None:
+        assert abs(v.limit_estimate - limit) <= 1e-9, (q.label, v.limit_estimate, limit)
+    else:
+        assert abs(v.first_zero - zero) <= 1e-10, (q.label, v.first_zero, zero)
+
+
+_COEFFS = st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5)
+
+
+@RANDOM
+@given(_COEFFS, _COEFFS)
+def test_stepper_matches_dop853_on_polynomial_coefficients(a, b):
+    # nonnegative coefficients in x and in 1 - x keep q >= 0 on [0, 1]
+    terms = [f"{c!r}*x^{k}" for k, c in enumerate(a)]
+    terms += [f"{c!r}*(1-x)^{k + 1}" for k, c in enumerate(b)]
+    _agrees_with_dop853(QFunction.from_expression(" + ".join(terms)))
+
+
+@RANDOM
+@given(st.lists(st.floats(0.0, 12.0), min_size=2, max_size=16), st.randoms())
+def test_stepper_matches_dop853_on_sample_tables(values, rnd):
+    xs = np.sort(rnd.sample(range(1, 999), len(values) - 2)) / 1000.0
+    _agrees_with_dop853(QFunction.from_samples(np.concatenate([[0.0], xs, [1.0]]), values))
+
+
+def test_a_series_that_vanishes_at_the_step_start_does_not_take_the_span():
+    # the series of q = 0.9 * 201 x^200 at x = 0 is zero through every order
+    # the stepper uses, so one step over [0, 1) would solve y'' = 0; the
+    # check against q at the step's end halves it, and the limit matches
+    # DOP853
+    q = QFunction.from_expression(f"{0.9 * 201!r}*x^200")
+    assert np.all(q._piece(0.0, 1.0)[0] == 0.0)
+    v = check_palpha(q, 0.0)
+    assert v.limit_estimate == pytest.approx(_dop853(q)[1], abs=1e-9)
+    assert v.limit_estimate < 0.2  # y'' = 0 would give 1
+
+
+def test_a_branch_point_at_the_step_start_is_interpolated():
+    # q = 3 x^0.5 has no Taylor series at x = 0 (and q(0) raises), so the
+    # first steps interpolate q inside the step
+    q = QFunction.from_expression("3*x^0.5")
+    with pytest.raises(BranchPointOrPole):
+        q(0.0)
+    assert integrate_q(q) == pytest.approx(2.0, abs=1e-10)
+    _agrees_with_dop853(q, lambda x: 3.0 * math.sqrt(x))
 
 
 # -- constant solver ------------------------------------------------------------

@@ -69,3 +69,10 @@ def test_the_checker_sees_dead_private_names():
 def test_every_private_name_is_used():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_only_the_ray_module_names_scipy():
+    # the ray ODE is scipy's one caller; every other route, palpha's Taylor
+    # stepper included, runs without importing it
+    naming = sorted(p.name for p in SRC.glob("*.py") if "scipy" in p.read_text())
+    assert naming == ["rays.py"]
