@@ -47,7 +47,7 @@ from .families import (
     order_estimate,
 )
 from .jets import Jet3, variable
-from .numerics import bisect, golden_max, golden_min, quasi_random_disk, richardson
+from .numerics import bisect, golden_min, golden_polish, quasi_random_disk, richardson
 from .palpha import (
     IntegralCheck,
     OdeSolution,

@@ -31,7 +31,7 @@ from .palpha import QFunction, check_palpha, constant_solver, sharpness_construc
 from .radius import radius_inverse_convexity, rotation_witness, verify_radius
 from .rays import starlike_equivalence_check
 from .schwarzian import schwarzian, schwarzian_norm
-from .theorems import verify_duality, verify_inclusions, verify_sufficiency
+from .theorems import CHECK_IDS, verify_duality, verify_inclusions, verify_sufficiency
 
 
 def _parse_complex(text: str) -> complex:
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, _cmd_factor_check)
 
     p = sub.add_parser("theorem", help="structural consistency checks")
-    p.add_argument("--check", required=True, choices=["sufficiency", "duality", "inclusions"])
+    p.add_argument("--check", required=True, choices=CHECK_IDS)
     _add_source(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--q", help="coefficient expression in x (sufficiency)")

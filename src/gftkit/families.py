@@ -25,13 +25,12 @@ import numpy as np
 from .errors import (
     DivisionAtZero,
     EvaluationFailed,
-    GftError,
     LocallyNonUnivalent,
     UnivalenceNotChecked,
 )
 from .expressions import FunctionExpr
 from .jets import Jet3, near_zero
-from .numerics import finite_samples, golden_min, is_scalar, quasi_random_disk
+from .numerics import finite_samples, golden_polish, is_scalar, quasi_random_disk
 
 
 class Family(str, Enum):
@@ -45,14 +44,6 @@ class Family(str, Enum):
 # Families whose members carry the normalized simple pole at the origin;
 # their functional has the removable limit value 1 at z = 0.
 B_FAMILIES = frozenset({Family.BC, Family.BSSTAR, Family.BCI})
-
-FAMILY_LABELS = {
-    Family.C: "convex of order alpha",
-    Family.SSTAR: "starlike of order alpha",
-    Family.BC: "pole-normalized convex of order alpha",
-    Family.BSSTAR: "pole-normalized starlike of order alpha",
-    Family.BCI: "inverse convex of order alpha (univalence assumed, not checked)",
-}
 
 
 @dataclass(frozen=True)
@@ -79,11 +70,6 @@ class DiskSampler:
             )
         if self.rings < 1 or self.points_per_ring < 4:
             raise ValueError("need rings >= 1 and points_per_ring >= 4")
-
-    @property
-    def verdict_grade(self) -> bool:
-        # Coarser grids are fine for exploration but not for verdicts.
-        return self.rings * self.points_per_ring >= 1024
 
     def radii(self) -> np.ndarray:
         depth = -np.log2(1.0 - self.r_max)
@@ -163,14 +149,6 @@ def functional_value(f: FunctionExpr, family: Family, z):
     return float(val) if scalar else val
 
 
-def _safe_scalar(f, family, z) -> float:
-    try:
-        v = functional_value(f, family, z)
-    except GftError:
-        return np.inf
-    return v if np.isfinite(v) else np.inf
-
-
 class GridField:
     """One map evaluated once on one disk grid: the sampler's points and the
     order-3 jet of f there, from which every verdict and order estimate on
@@ -227,24 +205,15 @@ class GridField:
         if not finite.any():
             raise EvaluationFailed("no grid point evaluated to a finite functional value")
         i = int(np.argmin(np.where(finite, vals, np.inf)))
-        best = float(vals[i])
-        r_w, th_w = abs(pts[i]), np.angle(pts[i])
-
-        dth = 2.0 * np.pi / sampler.points_per_ring
-        th, v_th = golden_min(
-            lambda t: _safe_scalar(f, family, r_w * np.exp(1j * t)), th_w - dth, th_w + dth
+        r_lo = max(sampler.exclusion_radius, f.exclusion_radius)
+        # the domain ends stand in for the missing neighbours of the end rings
+        radii = np.concatenate(([r_lo], sampler.radii(), [sampler.r_max]))
+        k = 1 + int(np.argmin(np.abs(radii[1:-1] - abs(pts[i]))))
+        best, _ = golden_polish(
+            lambda z: functional_value(f, family, z), pts[i], float(vals[i]),
+            dr=max(radii[k] - radii[k - 1], radii[k + 1] - radii[k]),
+            dth=2.0 * np.pi / sampler.points_per_ring, r_lo=r_lo, r_hi=sampler.r_max, rounds=1,
         )
-        if v_th < best:
-            best, th_w = v_th, th
-
-        radii = sampler.radii()
-        k = int(np.argmin(np.abs(radii - r_w)))
-        r_lo = radii[k - 1] if k > 0 else max(sampler.exclusion_radius, f.exclusion_radius)
-        r_hi = radii[k + 1] if k + 1 < radii.size else sampler.r_max
-        _, v_r = golden_min(
-            lambda r: _safe_scalar(f, family, r * np.exp(1j * th_w)), r_lo, r_hi
-        )
-        best = min(best, v_r)
         return float(np.clip(best, 0.0, 1.0))
 
 
@@ -268,7 +237,7 @@ def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None)
     """Largest alpha the sampled functional supports, clipped to [0, 1].
 
     Grid minimum plus a golden-section polish of the extremal ring, first
-    in angle then in radius, so the estimate does not depend on the grid
+    in radius then in angle, so the estimate does not depend on the grid
     lining up with the true argmin.  The grid must pass the same 1% rule
     as ``membership``: EvaluationFailed otherwise.
     """

@@ -1,6 +1,6 @@
 """Small numerical kernels: the scalar test, bracketed root finding,
-golden-section search, Richardson extrapolation, quasi-random disk points,
-the 1% non-finite rule."""
+golden-section search and the grid-minimum polish, Richardson extrapolation,
+quasi-random disk points, the 1% non-finite rule."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationFailed
+from .errors import EvaluationFailed, GftError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -84,9 +84,36 @@ def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200)
     return (c, fc) if fc < fd else (d, fd)
 
 
-def golden_max(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):
-    x, fneg = golden_min(lambda t: -fn(t), a, b, xtol, max_iter)
-    return x, -fneg
+def golden_polish(fn, z0, f0: float, dr: float, dth: float, r_lo: float, r_hi: float,
+                  rounds: int):
+    """Polish a grid minimum f0 = fn(z0) off the grid -> (value, point).
+
+    Each round runs a golden sweep in radius within dr of the best point,
+    kept inside [r_lo, r_hi], then one in angle within dth; it keeps only
+    improvements and quarters both brackets.  ``fn`` is called at scalar
+    points r e^{i theta}; a probe that raises GftError or is not finite
+    counts as +inf, so it never wins.
+    """
+    best, r_w, th_w = f0, float(np.abs(z0)), float(np.angle(z0))
+
+    def probe(z) -> float:
+        try:
+            v = fn(z)
+        except GftError:
+            return np.inf
+        return v if np.isfinite(v) else np.inf
+
+    for _ in range(rounds):
+        r, v = golden_min(lambda r: probe(r * np.exp(1j * th_w)),
+                          max(r_lo, r_w - dr), min(r_hi, r_w + dr))
+        if v < best:
+            best, r_w = v, r
+        t, v = golden_min(lambda t: probe(r_w * np.exp(1j * t)), th_w - dth, th_w + dth)
+        if v < best:
+            best, th_w = v, t
+        dr *= 0.25
+        dth *= 0.25
+    return best, complex(r_w * np.exp(1j * th_w))
 
 
 def richardson(values, ratio: float = 2.0) -> np.ndarray:

@@ -561,12 +561,12 @@ class SharpnessResult:
     """Search for a convexity breakdown point of the monomial coefficient
     q(x) = (1-beta)(n+1) x^n.
 
-    ``found`` and ``x0``, ``ratio_at_x0``, ``convexity_value`` would report
-    an x0 in the span with x0 y'(x0)/y(x0) <= beta (convexity value
-    1 - 2 x y'/y >= 1 - 2 beta); the infimum diagnostics are always recorded.
+    ``found`` would report an x0 in the span with x0 y'(x0)/y(x0) <= beta
+    (convexity value 1 - 2 x y'/y >= 1 - 2 beta); the infimum diagnostics
+    are always recorded.
 
-    No such x0 exists, for any n, so ``found`` is always False and the x0
-    fields are None: q >= 0 gives y <= x and a decreasing y', so y > 0 and
+    No such x0 exists, for any n, so ``found`` is always False: q >= 0
+    gives y <= x and a decreasing y', so y > 0 and
 
         x y'/y >= y'(1) >= 1 - int_0^1 q(x) x dx = beta + (1-beta)/(n+2),
 
@@ -582,9 +582,6 @@ class SharpnessResult:
     beta: float
     q: QFunction
     found: bool
-    x0: object  # float or None
-    ratio_at_x0: object
-    convexity_value: object
     min_ratio: float
     argmin_x: float
     limit_estimate: float
@@ -622,9 +619,6 @@ def sharpness_construct(
         beta=float(beta),
         q=q,
         found=False,
-        x0=None,
-        ratio_at_x0=None,
-        convexity_value=None,
         min_ratio=float(ratios[i_min]),
         argmin_x=float(xs[i_min]),
         limit_estimate=limit,

@@ -36,11 +36,10 @@ from .schwarzian import schwarzian
 from . import palpha as _palpha
 from .errors import YVanishes
 
-
-def _coefficient_callable(p):
-    if isinstance(p, FunctionExpr):
-        return lambda z: complex(p.value(z))
-    return lambda z: complex(p(z))
+# integration starts at min(_RHO_START, r_max / 8); every ray reports at
+# least _N_NODES radii
+_RHO_START = 1e-3
+_N_NODES = 257
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,16 @@ def solve_ray(
     theta: float,
     r_max: float = 0.999,
     rel_tol: float = 1e-10,
-    rho_start: float = 1e-3,
-    n_nodes: int = 257,
 ) -> RaySolution:
-    """Both normalized solutions along one ray, reported on >= n_nodes radii.
+    """Both normalized solutions along one ray, reported on >= 257 radii.
 
     ``p`` is a FunctionExpr or a plain callable z -> complex, called at a
     scalar z.  A non-finite coefficient sample anywhere on the ray raises
     NonAnalyticSample.
     """
-    pc = _coefficient_callable(p)
+    pc = p.value if isinstance(p, FunctionExpr) else p
     (ray,) = _solve_rays(
-        lambda z: pc(complex(z[0])), [theta], r_max=r_max, rel_tol=rel_tol,
-        rho_start=rho_start, n_nodes=n_nodes,
+        lambda z: complex(pc(complex(z[0]))), [theta], r_max=r_max, rel_tol=rel_tol,
     )
     return ray
 
@@ -90,8 +86,6 @@ def _solve_rays(
     thetas,
     r_max: float = 0.999,
     rel_tol: float = 1e-10,
-    rho_start: float = 1e-3,
-    n_nodes: int = 257,
 ) -> list[RaySolution]:
     """All rays as one DOP853 system on a shared rho grid.
 
@@ -113,7 +107,7 @@ def _solve_rays(
     from scipy.integrate import solve_ivp
 
     phase = np.exp(1j * thetas)
-    rho0 = min(float(rho_start), r_max / 8.0)
+    rho0 = min(_RHO_START, r_max / 8.0)
 
     def p_checked(rho: float):
         val = np.asarray(p_at(rho * phase), dtype=complex)
@@ -145,7 +139,7 @@ def _solve_rays(
 
     nodes = np.unique(
         np.concatenate(
-            [np.geomspace(rho0, r_max, 64), np.linspace(rho0, r_max, int(n_nodes))]
+            [np.geomspace(rho0, r_max, 64), np.linspace(rho0, r_max, _N_NODES)]
         )
     )
     scale = 1.0 / np.sqrt(n)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationFailed, GftError, LocallyNonUnivalent
+from .errors import EvaluationFailed, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
 from .jets import Jet3, near_zero
-from .numerics import finite_samples, golden_max, is_scalar
+from .numerics import finite_samples, golden_polish, is_scalar
 
 
 def schwarzian(f: FunctionExpr, z):
@@ -98,39 +98,17 @@ def schwarzian_norm(
     finite = finite_samples(vals, "norm grid points")
     skipped = int(vals.size - np.count_nonzero(finite))
     i = int(np.argmax(np.where(finite, vals, -np.inf)))
-    best, r_w, th_w = float(vals[i]), float(np.abs(z[i])), float(np.angle(z[i]))
-
-    def probe_r(r):
-        return _safe_weighted(f, r * np.exp(1j * th_w))
-
-    def probe_th(t):
-        return _safe_weighted(f, r_w * np.exp(1j * t))
-
-    dr = (r_hi - r_lo) / max(rings - 1, 1)
-    dth = 2.0 * np.pi / points_per_ring
-    for _ in range(refine_iters):
-        r, v = golden_max(probe_r, max(r_lo, r_w - dr), min(r_hi, r_w + dr))
-        if v > best:
-            best, r_w = v, r
-        t, v = golden_max(probe_th, th_w - dth, th_w + dth)
-        if v > best:
-            best, th_w = v, t
-        dr *= 0.25
-        dth *= 0.25
+    neg, argmax = golden_polish(
+        lambda w: -weighted_modulus(f, complex(w)), z[i], -float(vals[i]),
+        dr=(r_hi - r_lo) / (rings - 1), dth=2.0 * np.pi / points_per_ring,
+        r_lo=r_lo, r_hi=r_hi, rounds=refine_iters,
+    )
     return NormEstimate(
-        lower_bound=best,
-        argmax=complex(r_w * np.exp(1j * th_w)),
+        lower_bound=-neg,
+        argmax=argmax,
         evaluated=int(vals.size - skipped),
         skipped=skipped,
     )
-
-
-def _safe_weighted(f, z) -> float:
-    try:
-        v = weighted_modulus(f, complex(z))
-    except GftError:
-        return -np.inf
-    return v if np.isfinite(v) else -np.inf
 
 
 @dataclass(frozen=True)

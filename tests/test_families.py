@@ -127,8 +127,6 @@ def test_sampler_validation():
         DiskSampler(exclusion_radius=0.0)
     with pytest.raises(ValueError):
         DiskSampler(points_per_ring=2)
-    assert not DiskSampler(rings=2, points_per_ring=8).verdict_grade
-    assert DiskSampler().verdict_grade
 
 
 # -- membership verdicts -------------------------------------------------------

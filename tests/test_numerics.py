@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gftkit.numerics import is_scalar
+from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
+from gftkit.numerics import golden_polish, is_scalar
 
 
 @pytest.mark.parametrize("x", [
@@ -13,3 +14,82 @@ from gftkit.numerics import is_scalar
 ], ids=repr)
 def test_is_scalar_agrees_with_ndim(x):
     assert is_scalar(x) == (np.ndim(x) == 0)
+
+
+# -- golden polish of a grid minimum -----------------------------------------------
+
+RADII = np.linspace(0.1, 0.9, 9)
+DTH = 2.0 * np.pi / 16
+GRID = (RADII[:, None] * np.exp(1j * DTH * np.arange(16))[None, :]).ravel()
+# between the rings 0.5 and 0.6 and between two grid angles
+TARGET = 0.537 * np.exp(0.911j)
+
+
+def _polish(fn):
+    vals = np.array([fn(z) for z in GRID])
+    i = int(np.argmin(vals))
+    return golden_polish(fn, GRID[i], float(vals[i]), dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9, rounds=3)
+
+
+def test_golden_polish_recovers_an_off_grid_minimum():
+    def fn(z):
+        return abs(z - TARGET) ** 2
+
+    value, point = _polish(fn)
+    assert abs(point - TARGET) <= 1e-9
+    assert value == fn(point)
+
+
+def test_a_failed_probe_never_wins_and_never_escapes():
+    hits = {"raised": 0, "nan": 0}
+
+    def fn(z):
+        d = abs(z - TARGET)
+        if d < 1e-3:
+            hits["raised"] += 1
+            raise LocallyNonUnivalent("probe inside the bad ball")
+        if d < 2e-3:
+            hits["nan"] += 1
+            return np.nan
+        return d * d - 1.0
+
+    value, point = _polish(fn)
+    assert hits["raised"] > 0 and hits["nan"] > 0
+    assert np.isfinite(value) and value == fn(point)
+    assert abs(point - TARGET) >= 2e-3
+
+    def broken(z):
+        raise EvaluationFailed("every probe fails")
+
+    z0 = GRID[40]
+    value, point = golden_polish(broken, z0, 0.25, dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9, rounds=2)
+    assert value == 0.25 and abs(point - z0) <= 1e-15
+
+
+def test_a_nan_probe_steers_the_sweep_away():
+    # counted as +inf, the NaN beyond |z| = 0.52 sends the first radial step
+    # inward, toward the minimum at |z| = 0.47 on the start ray
+    def fn(z):
+        return np.nan if abs(z) > 0.52 else (abs(z) - 0.47) ** 2 + np.angle(z) ** 2
+
+    value, point = golden_polish(fn, GRID[4 * 16], fn(GRID[4 * 16]), dr=0.1, dth=DTH,
+                                 r_lo=0.1, r_hi=0.9, rounds=1)
+    assert value <= 1e-18 and abs(point - 0.47) <= 1e-9
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_radial_probes_stay_inside_the_domain(sign):
+    # the minimum of sign*|z| lies on an end ring, the grid edge of [r_lo, r_hi]
+    r_lo, r_hi = 0.3, 0.7
+    probed = []
+
+    def fn(z):
+        probed.append(abs(z))
+        return sign * abs(z)
+
+    grid = GRID[(np.abs(GRID) >= r_lo - 1e-12) & (np.abs(GRID) <= r_hi + 1e-12)]
+    i = int(np.argmin(sign * np.abs(grid)))
+    golden_polish(fn, grid[i], sign * abs(grid[i]), dr=0.1, dth=DTH, r_lo=r_lo, r_hi=r_hi,
+                  rounds=3)
+    assert probed
+    assert r_lo - 1e-15 <= min(probed) and max(probed) <= r_hi + 1e-15

@@ -1,12 +1,14 @@
-"""Source hygiene checks that need no linter: every import and every private
-module-level name is used."""
+"""Source hygiene checks that need no linter: every import, every private
+module-level name and every public module-level name is used."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gftkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gftkit"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -35,18 +37,25 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def module_level_names(tree: ast.Module) -> list:
+    """Names bound by the module's top-level functions, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def dead_private_names(sources: dict) -> list:
     """Module-level ``_x`` functions, classes and assignments that no module
     in ``sources`` (name -> text) reads, imports or looks up as an attribute."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        defined += [(module, name) for name in module_level_names(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -69,6 +78,43 @@ def test_the_checker_sees_dead_private_names():
 def test_every_private_name_is_used():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def dead_public_names(modules: dict, others: list) -> list:
+    """Public module-level names of ``modules`` (name -> text) that their own
+    module never reads and no other text names; ``others`` are the texts of
+    every other file, ``__init__`` with its re-export imports removed."""
+    dead = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        texts = [text for other, text in modules.items() if other != module] + others
+        for name in module_level_names(tree):
+            named = re.compile(rf"\b{name}\b").search
+            if not name.startswith("_") and name not in read and not any(map(named, texts)):
+                dead.append((module, name))
+    return sorted(dead)
+
+
+def without_imports(source: str) -> str:
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def test_the_checker_sees_dead_public_names():
+    modules = {"a": "A = 1\nB = 2\nC = 3\ndef f():\n    return C\nclass K:\n    pass\n", "b": "D = 4\n"}
+    others = [without_imports("from a import A, B\nfrom b import (\n    D,\n)\n"), "B + 1\n"]
+    assert dead_public_names(modules, others) == [("a", "A"), ("a", "K"), ("a", "f"), ("b", "D")]
+
+
+def test_every_public_name_is_used():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [without_imports((SRC / "__init__.py").read_text()), (ROOT / "README.md").read_text()]
+    others += [p.read_text() for d in ("tests", "bench", "demos") for p in (ROOT / d).rglob("*.py")]
+    assert dead_public_names(modules, others) == []
 
 
 def test_only_the_ray_module_names_scipy():
