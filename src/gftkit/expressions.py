@@ -245,16 +245,20 @@ def _substitute(node, repl):
     raise TypeError(type(node))  # pragma: no cover
 
 
-# -- the built jet evaluator -------------------------------------------------
+# -- the built evaluators ------------------------------------------------------
 #
-# A FunctionExpr builds each of its two evaluators once, on first use
-# (FunctionExpr.scalar_jet, array_jet).  Each node becomes a closure from the
-# seed z to a plain 4-tuple (v0, v1, v2, v3), compiled by jets.rule and
-# jets.linear_rule for the kinds of its children's entries.  Constant
-# subtrees are folded at build time with the unpruned rules, which are the
-# Jet3 formulas, so they hold exactly what a tree walk computes; one that
-# hits a singular point raises its error on every call, where the walk
-# would reach it.
+# A FunctionExpr builds each of its three evaluators once, on first use
+# (FunctionExpr.scalar_jet, array_jet, series), by one compiler, _build, in
+# the matching mode.  Each node becomes a closure from a seed to the node's
+# entries.  In the two jet modes the seed is z and the entries are a plain
+# 4-tuple (v0, v1, v2, v3), compiled by jets.rule and jets.linear_rule for the
+# kinds of its children's entries.  In series mode the seed is the variable's
+# series (x0, 1, 0, ...) about a real point x0 and the entries are complex
+# Taylor coefficients through the seed's order, from jets' truncated-series
+# recurrences.  Constant subtrees are folded once, at build time and for
+# every mode, with the unpruned rules, which are the Jet3 formulas, so they
+# hold exactly what a tree walk computes; one that hits a singular point
+# raises its error on every call, where the walk would reach it.
 #
 # The scalar and the array path get separate closures, because the walk's
 # numbers differ in type there and complex products and quotients round
@@ -266,10 +270,15 @@ def _substitute(node, repl):
 # there.  Sums and products give equal values whatever the type, so only
 # the result's types matter (callers divide by them): the root converts an
 # entry whose type differs from the walk's.
+#
+# In series mode a constant's series is zero past order 0, and its kinds say
+# so: (VALUE, ZERO, ZERO, ZERO).  A product with a constant factor scales the
+# other series by the constant's value instead of convolving, which would add
+# products with those zeros.  Every other series plan has the kinds _FULL.
 
 
 class _Plan(NamedTuple):
-    fn: object  # seed -> 4-tuple
+    fn: object  # seed -> 4-tuple, or series -> series
     kinds: tuple  # jets kind of each entry
     const: object = None  # the folded 4-tuple of a constant subtree
     effects: tuple = ()  # what a constant must still evaluate (the base of f^0)
@@ -291,6 +300,8 @@ def _samples(values):
 def _const_kinds(values, mode):
     if mode == _FOLD:
         return _FULL
+    if mode == _SERIES:
+        return (jets.VALUE,) + (jets.ZERO,) * 3
     kinds = []
     for k, v in enumerate(values):
         if not cmath.isfinite(v):
@@ -311,12 +322,22 @@ def _held(values, mode):
 
 def _const_plan(values, mode, effects=()):
     values = tuple(values)
-    rt = _held(values, mode)
+    if mode == _SERIES:
+        v0 = values[0]
 
-    def fn(z):
-        for effect in effects:
-            effect(z)
-        return rt
+        def fn(s):
+            for effect in effects:
+                effect(s)
+            c = np.zeros(s.shape, dtype=complex)
+            c[0] = v0
+            return c
+    else:
+        rt = _held(values, mode)
+
+        def fn(z):
+            for effect in effects:
+                effect(z)
+            return rt
 
     types = (values, values) if mode == _SCALAR else None
     return _Plan(fn, _const_kinds(values, mode), values, effects, types)
@@ -356,12 +377,23 @@ def _node(children, compile_op, mode):
 
 
 def _product_op(kinds, mode):
+    if mode == _SERIES:
+        if kinds[0][1] == jets.ZERO:  # a constant factor
+            return (lambda A, B: B * A[0]), _FULL
+        if kinds[1][1] == jets.ZERO:
+            return (lambda A, B: A * B[0]), _FULL
+        return jets.series_product, _FULL
     r, out = jets.rule("product", kinds[0] + kinds[1])
     return (lambda A, B: r(A + B)), out
 
 
+_SERIES_LINEAR = {"+": np.add, "-": np.subtract, "neg": np.negative}
+
+
 def _linear_op(op):
     def compile_op(kinds, mode):
+        if mode == _SERIES:
+            return _SERIES_LINEAR[op], _FULL
         r, out = jets.linear_rule(op, sum(kinds, ()))
         if len(kinds) == 2:
             return (lambda A, B: r(A + B)), out
@@ -370,17 +402,24 @@ def _linear_op(op):
     return compile_op
 
 
-def _outer_op(outer, guarded):
+def _outer_op(outer, series, guarded, branched=False):
+    """The chain rule through ``outer``, or its series recurrence ``series``;
+    a ``branched`` outer folds a real-typed constant as complex, as the walk
+    does (jets.complex_arg)."""
+
     def compile_op(kinds, mode):
+        if mode == _SERIES:
+            return series, _FULL
         (ka,) = kinds
         kg = jets.NONFINITE if ka[0] == jets.NONFINITE else jets.VALUE
         r, out = jets.rule("chain", (kg,) * 4 + ka)
         if guarded and mode == _ARRAY:
             # a masked point makes every entry NaN: nothing stays structural
             out = tuple(k if k == jets.NONFINITE else jets.VALUE for k in out)
+        g_of = (lambda x: outer(jets.complex_arg(x))) if branched and mode == _FOLD else outer
 
         def f(A):
-            g, mask = outer(A[0])
+            g, mask = g_of(A[0])
             V = r(g + A)
             return V if mask is None else jets.masked(V, mask)
 
@@ -393,6 +432,8 @@ def _int_pow_op(n):
     """f^n for an integer n >= 1 by repeated squaring, as jets._int_pow."""
 
     def compile_op(kinds, mode):
+        if mode == _SERIES:
+            return jets.series_int_pow(n), _FULL
         (base,) = kinds
         one = _held(_IDENTITY, mode)
         res, steps, m = _const_kinds(_IDENTITY, mode), [], n
@@ -419,8 +460,9 @@ def _int_pow_op(n):
     return compile_op
 
 
-_RECIPROCAL = _outer_op(jets.reciprocal_outer, True)
-_FUNCTIONS = {name: _outer_op(outer, name in jets.GUARDED) for name, outer in jets.OUTER.items()}
+_RECIPROCAL = _outer_op(jets.reciprocal_outer, jets.series_reciprocal, True)
+_FUNCTIONS = {name: _outer_op(outer, jets.SERIES[name], name in jets.GUARDED, name in jets.BRANCHED)
+              for name, outer in jets.OUTER.items()}
 _LINEAR = {_Add: _linear_op("+"), _Sub: _linear_op("-")}
 _NEG = _linear_op("neg")
 
@@ -429,9 +471,11 @@ def _build(node, mode) -> _Plan:
     if isinstance(node, _Const):
         return _const_plan((node.value, 0.0, 0.0, 0.0), mode)
     if isinstance(node, _Var):
+        kinds = (jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO)
+        if mode == _SERIES:  # the seed is the variable's series
+            return _Plan(lambda s: s, kinds)
         seed = (_SAMPLES[complex], 1.0, 0.0, 0.0)
         types = (seed, seed) if mode == _SCALAR else None
-        kinds = (jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO)
         return _Plan(lambda z: (z, 1.0, 0.0, 0.0), kinds, None, (), types)
     if isinstance(node, _Neg):
         return _node([_build(node.child, mode)], _NEG, mode)
@@ -448,7 +492,7 @@ def _build(node, mode) -> _Plan:
         a = _build(node.child, mode)
         c = float(node.exponent)
         if not c.is_integer():
-            return _node([a], _outer_op(jets.pow_outer(c), True), mode)
+            return _node([a], _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True), mode)
         n = int(c)
         if n == 0:  # the constant 1, after evaluating the base for its errors
             return _const_plan(_IDENTITY, mode, a.effects if a.const is not None else (a.fn,))
@@ -457,128 +501,22 @@ def _build(node, mode) -> _Plan:
     raise TypeError(type(node))  # pragma: no cover
 
 
-# -- the series mode ---------------------------------------------------------
-#
-# FunctionExpr.series is a third evaluator, built on first use like the two
-# above: (x0, n) -> the complex Taylor coefficients of the map about the real
-# point x0 through order n, from jets' truncated-series recurrences.  A node
-# becomes a _Series: ``const`` holds a constant subtree's value, folded
-# through the same recurrences at order 0, and ``fn`` computes the
-# coefficients.  A constant subtree that hits a singular point raises its
-# error on every call, as in the jet modes.
-
-
-class _Series(NamedTuple):
-    fn: object  # (x0, n) -> complex coefficients 0..n
-    const: object = None  # the folded value of a constant subtree
-
-
-def _constant_series(value) -> _Series:
-    def fn(x0, n):
-        s = np.zeros(n + 1, dtype=complex)
-        s[0] = value
-        return s
-
-    return _Series(fn, value)
-
-
-def _folded(op, *values) -> _Series:
-    """A constant node: ``op`` on order-0 series of its constant children."""
-    try:
-        return _constant_series(op(*(np.array([v], dtype=complex) for v in values))[0])
-    except GftError as exc:
-        cls, args = type(exc), exc.args
-
-        def fn(x0, n):
-            raise cls(*args)
-
-        return _Series(fn)
-
-
-def _series_unary(op, a: _Series) -> _Series:
-    if a.const is not None:
-        return _folded(op, a.const)
-    fa = a.fn
-    return _Series(lambda x0, n: op(fa(x0, n)))
-
-
-def _series_sum(a: _Series, b: _Series, sign: float) -> _Series:
-    """a + b (sign 1) or a - b (sign -1)."""
-    if a.const is not None and b.const is not None:
-        return _folded(lambda u, v: u + sign * v, a.const, b.const)
-    fa, fb = a.fn, b.fn
-    if sign > 0:
-        return _Series(lambda x0, n: fa(x0, n) + fb(x0, n))
-    return _Series(lambda x0, n: fa(x0, n) - fb(x0, n))
-
-
-def _series_times(a: _Series, b: _Series) -> _Series:
-    if a.const is not None and b.const is not None:
-        return _folded(jets.series_product, a.const, b.const)
-    if a.const is not None:
-        a, b = b, a
-    fa = a.fn
-    if b.const is not None:
-        c = b.const
-        return _Series(lambda x0, n: fa(x0, n) * c)
-    fb = b.fn
-    return _Series(lambda x0, n: jets.series_product(fa(x0, n), fb(x0, n)))
-
-
-def _build_series(node) -> _Series:
-    if isinstance(node, _Const):
-        return _constant_series(complex(node.value))
-    if isinstance(node, _Var):
-        def var(x0, n):
-            s = np.zeros(n + 1, dtype=complex)
-            s[0] = x0
-            s[1:2] = 1.0
-            return s
-
-        return _Series(var)
-    if isinstance(node, _Neg):
-        return _series_unary(np.negative, _build_series(node.child))
-    if isinstance(node, _Bin):
-        a, b = _build_series(node.left), _build_series(node.right)
-        if isinstance(node, _Mul):
-            return _series_times(a, b)
-        if isinstance(node, _Div):
-            return _series_times(a, _series_unary(jets.series_reciprocal, b))
-        return _series_sum(a, b, 1.0 if isinstance(node, _Add) else -1.0)
-    if isinstance(node, _Fun):
-        return _series_unary(jets.SERIES[node.name], _build_series(node.child))
-    if isinstance(node, _Pow):
-        a = _build_series(node.child)
-        c = float(node.exponent)
-        if not c.is_integer():
-            return _series_unary(jets.series_pow(c), a)
-        k = int(c)
-        if k == 0:  # the constant 1, after evaluating the base for its errors
-            if a.const is not None:
-                return _constant_series(complex(1.0))
-            fa, one = a.fn, _constant_series(complex(1.0)).fn
-            return _Series(lambda x0, n: (fa(x0, n), one(x0, n))[1])
-        p = _series_unary(jets.series_int_pow(abs(k)), a)
-        return p if k > 0 else _series_unary(jets.series_reciprocal, p)
-    raise TypeError(type(node))  # pragma: no cover
-
-
 def _build_path(root, mode):
-    """The jet evaluator z -> Jet3 of the tree ``root`` for scalar or for
-    array z (``mode``), or its series evaluator (x0, n) -> coefficients."""
-    if mode == _SERIES:
-        with np.errstate(all="ignore"):
-            fn = _build_series(root).fn
-
-        def series(x0, n):
-            with np.errstate(all="ignore"):  # overflow and singular values stay inf or NaN
-                return fn(float(x0), int(n))
-
-        return series
-
+    """The evaluator of the tree ``root`` in ``mode``: z -> Jet3 for scalar
+    or for array z, or (x0, n) -> the complex Taylor coefficients 0..n about
+    the real point x0."""
     with np.errstate(all="ignore"):  # folding constants may overflow, as the walk would
         plan = _build(root, mode)
     fn = plan.fn
+    if mode == _SERIES:
+        def series(x0, n):
+            s = np.zeros(int(n) + 1, dtype=complex)
+            s[0], s[1:2] = float(x0), 1.0
+            with np.errstate(all="ignore"):  # overflow and singular values stay inf or NaN
+                return fn(s)
+
+        return series
+
     if mode == _SCALAR:
         casts = [type(w) if type(w) is not type(o) else None for w, o in zip(*plan.types)]
         if any(casts):

@@ -231,9 +231,19 @@ def pow_outer(c: float):
     return outer
 
 
-def _jet_of(outer, a: Jet3, **ignore) -> Jet3:
+def complex_arg(x):
+    """``x`` as the argument of log, sqrt or a non-integer power: complex, so
+    that a negative real takes the principal branch, not NaN.  A complex x
+    passes untouched: its signed zero picks the side of the cut.  Only
+    constants arrive real-typed (the parser keeps real literals as floats),
+    so the Jet3 walk and the constant fold convert, and the built
+    evaluators' per-call path does not."""
+    return x if np.iscomplexobj(x) else complex(x)
+
+
+def _jet_of(outer, a: Jet3, branched=False, **ignore) -> Jet3:
     with np.errstate(**ignore):
-        g, mask = outer(a.v0)
+        g, mask = outer(complex_arg(a.v0) if branched else a.v0)
         return _apply_mask(_compose(a, *g), mask)
 
 
@@ -243,12 +253,12 @@ def jet_exp(a: Jet3) -> Jet3:
 
 def jet_log(a: Jet3) -> Jet3:
     """Principal branch; refuses the branch point f(z) = 0."""
-    return _jet_of(_log_outer, a, divide="ignore", invalid="ignore")
+    return _jet_of(_log_outer, a, branched=True, divide="ignore", invalid="ignore")
 
 
 def jet_sqrt(a: Jet3) -> Jet3:
     """Principal branch; refuses the branch point f(z) = 0."""
-    return _jet_of(_sqrt_outer, a, divide="ignore", invalid="ignore")
+    return _jet_of(_sqrt_outer, a, branched=True, divide="ignore", invalid="ignore")
 
 
 def jet_sin(a: Jet3) -> Jet3:
@@ -277,7 +287,8 @@ def jet_pow(a: Jet3, exponent: float) -> Jet3:
     c = float(exponent)
     if c.is_integer():
         return _int_pow(a, int(c))
-    return _jet_of(pow_outer(c), a, divide="ignore", invalid="ignore", over="ignore")
+    return _jet_of(pow_outer(c), a, branched=True, divide="ignore", invalid="ignore",
+                   over="ignore")
 
 
 def _int_pow(a: Jet3, n: int) -> Jet3:
@@ -304,7 +315,8 @@ ELEMENTARY = {
 }
 
 # outer helpers by function name; GUARDED names those that guard a singular
-# point, as reciprocal_outer and pow_outer do
+# point, as reciprocal_outer and pow_outer do, and BRANCHED those that take
+# complex_arg, as pow_outer does
 OUTER = {
     "exp": _exp_outer,
     "log": _log_outer,
@@ -315,6 +327,7 @@ OUTER = {
     "cot": _cot_outer,
 }
 GUARDED = frozenset({"log", "sqrt", "tan", "cot"})
+BRANCHED = frozenset({"log", "sqrt"})
 
 
 # -- rules for built evaluators --------------------------------------------

@@ -81,6 +81,12 @@ def test_violated_verdict_exits_one(capsys):
     assert report["verdict"]["witness"]["re"] < -0.9
 
 
+def test_a_map_with_a_negative_real_constant_under_a_root_exits_zero(capsys):
+    # sqrt(-(1)) is i: the map is i*z, convex, and every grid point evaluates
+    assert main(["classify", "--expr", "z*sqrt(-(1))", "--family", "c"] + FAST) == 0
+    assert "0 skipped" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--family", "bc"])  # no --expr/--catalog

@@ -2,6 +2,7 @@
 derivative route and mpmath, on random expression trees; and their
 build-once contract."""
 
+import cmath
 import dataclasses
 import pickle
 
@@ -219,8 +220,8 @@ SERIES_ORDER = 8
 def test_series_mode_matches_mpmath_taylor(text, xs):
     """The series evaluator's coefficients through order 8 against
     mpmath.taylor at 50 digits, on the real points where every subtree is
-    well conditioned; where the scalar jet hits a singular point, the series
-    raises the same error."""
+    well conditioned; the series raises exactly where the scalar jet hits a
+    singular point, with the same error."""
     f = parse(text)
     mp_f = _to_mpmath(f.root)
     for x in xs:
@@ -229,9 +230,10 @@ def test_series_mode_matches_mpmath_taylor(text, xs):
             with pytest.raises(ref):
                 f.series(x, SERIES_ORDER)
             continue
+        got = _outcome(lambda x: f.series(x, SERIES_ORDER), x)
+        assert not isinstance(got, type), (text, x, got)
         if not _well_conditioned(f.root, x, gap=0.25):
             continue
-        got = f.series(x, SERIES_ORDER)
         assert got.shape == (SERIES_ORDER + 1,) and got.dtype == complex
         with mpmath.workdps(50):
             exact = [complex(c) for c in mpmath.taylor(mp_f, mpmath.mpf(x), SERIES_ORDER)]
@@ -281,7 +283,9 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
     field.order_estimate("bc")  # the polish evaluates f pointwise
     for k in range(100):
         schwarzian(f, 0.3 + 0.004j * k)
-    assert built == [(f.root, "array"), (f.root, "scalar")]
+    f.series(0.5, 3)
+    f.series(0.25, 8)
+    assert built == [(f.root, "array"), (f.root, "scalar"), (f.root, "series")]
 
 
 def test_the_cached_evaluator_is_not_part_of_the_map():
@@ -302,3 +306,30 @@ def test_constant_subtrees_raise_on_every_call(text):
         for _ in range(2):
             with pytest.raises(GftError):
                 f.jet(z)
+    for _ in range(2):
+        with pytest.raises(GftError):
+            f.series(0.5, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "(z/(-(2.202)))^0.5",  # a folded negative real under a cut
+    "(-(1)-z)^0.5",
+    "sin(((exp(800))^-1)^1.5)*z",  # a NaN constant, not a singular hit
+])
+def test_series_value_is_the_jet_value(text):
+    # one compiler folds each constant once, for every mode
+    f = parse(text)
+    got, ref = f.series(0.5, 2)[0], f.jet(0.5).v0
+    assert got == ref or (cmath.isnan(got) and cmath.isnan(ref))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("z*sqrt(-(1))", 0.5j),
+    ("z + log(-(2))", complex(0.5 + np.log(2.0), np.pi)),
+])
+def test_negative_real_constants_take_the_principal_branch(text, value):
+    # the parser keeps real literals as floats: -(1) folds to the float -1.0
+    f = parse(text)
+    assert abs(f.jet(0.5).v0 - value) <= 1e-15
+    assert abs(f.jet(np.array([0.5, 0.5])).v0 - value).max() <= 1e-15
+    assert abs(f.series(0.5, 2)[0] - value) <= 1e-15

@@ -87,7 +87,8 @@ def test_expression_variable_must_be_x():
         QFunction.from_expression(__import__("gftkit").parse("z^2"))
 
 
-@pytest.mark.parametrize("text", ["5*i*x", "2.0*x*(1 + 0.5*i)", "1.5 + 0.7*i"])
+@pytest.mark.parametrize("text", ["5*i*x", "2.0*x*(1 + 0.5*i)", "1.5 + 0.7*i",
+                                  "sqrt(-(1))*x", "2*(1-x) + log(-(1))"])
 def test_complex_coefficient_is_rejected(text):
     # dropping the imaginary part would answer for a different q
     with pytest.raises(ValueError, match="complex"):
