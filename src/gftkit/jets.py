@@ -232,13 +232,15 @@ def pow_outer(c: float):
 
 
 def complex_arg(x):
-    """``x`` as the argument of log, sqrt or a non-integer power: complex, so
-    that a negative real takes the principal branch, not NaN.  A complex x
+    """``x`` as the argument of log, sqrt or a non-integer power: a negative
+    real becomes complex, so that it takes the principal branch, not NaN.  A
+    non-negative real keeps the real function, which is correctly rounded
+    where the complex one (exp(c log x)) can be an ulp off; a complex x
     passes untouched: its signed zero picks the side of the cut.  Only
     constants arrive real-typed (the parser keeps real literals as floats),
     so the Jet3 walk and the constant fold convert, and the built
     evaluators' per-call path does not."""
-    return x if np.iscomplexobj(x) else complex(x)
+    return x if np.iscomplexobj(x) or not x < 0.0 else complex(x)
 
 
 def _jet_of(outer, a: Jet3, branched=False, **ignore) -> Jet3:

@@ -1,6 +1,7 @@
 """Small numerical kernels: the scalar test, bracketed root finding,
 golden-section search and the grid-minimum polish, Richardson extrapolation,
-quasi-random disk points, the 1% non-finite rule."""
+Taylor coefficients from a ring of samples, quasi-random disk points, the 1%
+non-finite rule."""
 
 from __future__ import annotations
 
@@ -131,6 +132,43 @@ def richardson(values, ratio: float = 2.0) -> np.ndarray:
         table = (factor * table[1:] - table[:-1]) / (factor - 1.0)
         diag.append(table[0])
     return np.asarray(diag)
+
+
+# the ring coefficients whose size is the aliasing tail
+_RING_TAIL_TERMS = 4
+
+
+def ring_taylor(p_at, centers, phases, radius: float, m: int):
+    """Taylor coefficients of p along directions, from m samples on a circle.
+
+    Sample j about centre c in direction e^{i theta} (``phases``) is
+    p(c + R e^{i theta} w^j), w = e^{2 pi i / m}, so sample 0 lies on the
+    direction, forward.  ``p_at`` maps the (n, m) complex array of all
+    sample points to their values in one call.  One FFT along the sample
+    axis is the trapezoid rule for the Cauchy integrals:
+    b_k = a_k (R e^{i theta})^k, a_k the Taylor coefficients of p about c,
+    up to aliased terms a_{k+m}, a_{k+2m}, ... (Trefethen & Weideman, SIAM
+    Rev. 56 (2014) 385-458).
+
+    Returns (coef, tail, samples): ``coef`` (n, m) holds b_k / R^k, the
+    coefficients of p(c + e^{i theta} t) in the distance t; ``tail`` (n,)
+    is the largest of the last four |b_k| relative to max(1, max_k |b_k|):
+    where the b_k decay geometrically it exceeds the aliased terms, and a
+    singularity inside the ring makes it large (its Laurent terms alias
+    onto the last coefficients); it is +inf where a sample is not finite;
+    ``samples`` (n, m) are the values.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    phases = np.asarray(phases, dtype=complex)
+    ring = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    points = centers[:, None] + phases[:, None] * ring
+    samples = np.broadcast_to(np.asarray(p_at(points), dtype=complex), points.shape)
+    with np.errstate(invalid="ignore"):  # a non-finite sample spoils its ray only
+        b = np.fft.fft(samples, axis=1) / m
+        size = np.abs(b)
+        tail = np.max(size[:, -_RING_TAIL_TERMS:], axis=1) / np.maximum(1.0, np.max(size, axis=1))
+        coef = b / radius ** np.arange(m)
+    return coef, np.where(np.isfinite(samples).all(axis=1), tail, np.inf), samples
 
 
 def quasi_random_disk(n: int, r_min: float, r_max: float, seed: int = 0) -> np.ndarray:

@@ -357,7 +357,7 @@ def test_a_grid_check_starts_no_thread_pool():
     assert out.strip() == "False"
 
 
-def test_scipy_is_imported_only_by_the_ode_and_quadrature_routes():
+def test_no_cli_call_imports_scipy():
     src = os.path.dirname(os.path.dirname(gftkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -365,6 +365,6 @@ def test_scipy_is_imported_only_by_the_ode_and_quadrature_routes():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    # import, classify, const-q, palpha, sharpness and sufficiency: no scipy;
-    # the ray solves of factor-check load it
-    assert out.strip() == "[False, False, False, False, False, False, False, True]"
+    # import, classify, const-q, palpha, sharpness, sufficiency and the ray
+    # solves of factor-check: both ODE routes are Taylor steppers, no scipy
+    assert out.strip() == "[False, False, False, False, False, False, False, False]"

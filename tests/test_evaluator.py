@@ -333,3 +333,17 @@ def test_negative_real_constants_take_the_principal_branch(text, value):
     assert abs(f.jet(0.5).v0 - value) <= 1e-15
     assert abs(f.jet(np.array([0.5, 0.5])).v0 - value).max() <= 1e-15
     assert abs(f.series(0.5, 2)[0] - value) <= 1e-15
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2^0.5*z", np.sqrt(2.0)),
+    ("sqrt(2)*z", np.sqrt(2.0)),
+    ("log(2)*z", np.log(2.0)),
+])
+def test_positive_real_constants_keep_the_real_function(text, value):
+    # the real power is correctly rounded where the complex exp(c log x) can
+    # miss by an ulp; only a negative real needs the complex branch
+    f = parse(text)
+    assert f.jet(1.0).v0 == value
+    assert f.series(1.0, 0)[0] == value
+    assert f.jet(np.array([1.0, 1.0])).v0[0] == value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
-from gftkit.numerics import golden_polish, is_scalar
+from gftkit.numerics import golden_polish, is_scalar, ring_taylor
 
 
 @pytest.mark.parametrize("x", [
@@ -93,3 +93,66 @@ def test_radial_probes_stay_inside_the_domain(sign):
                   rounds=3)
     assert probed
     assert r_lo - 1e-15 <= min(probed) and max(probed) <= r_hi + 1e-15
+
+
+# -- Taylor coefficients from a ring of samples ------------------------------------
+
+
+def _factorials(n):
+    return np.cumprod(np.concatenate([[1.0], np.arange(1.0, n)]))
+
+
+@pytest.mark.parametrize("p, center, expected", [
+    # 1/(1-z) about 0.5: 2^(k+1); exp(z) about 0.3i: e^{0.3i} / k!
+    (lambda z: 1.0 / (1.0 - z), 0.5, lambda k: 2.0 ** (k + 1)),
+    (np.exp, 0.3j, lambda k: np.exp(0.3j) / _factorials(k.size)),
+])
+def test_ring_coefficients_match_closed_forms(p, center, expected):
+    # the terms a_k t^k on the ring |t| = R carry the FFT's roundoff, so the
+    # error is measured there, relative to the largest
+    coef, tail, samples = ring_taylor(p, [center], [1.0], 0.1, 32)
+    k = np.arange(24)
+    terms = expected(k) * 0.1**k
+    assert np.max(np.abs(coef[0, :24] * 0.1**k - terms)) <= 1e-13 * np.max(np.abs(terms))
+    assert tail[0] <= 1e-13
+    assert samples[0, 0] == p(center + 0.1)  # sample 0 lies on the direction, forward
+
+
+def test_ring_coefficients_run_along_the_direction():
+    # in the distance t along e^{i theta}, exp's coefficients pick up e^{i k theta}
+    phase = np.exp(0.7j)
+    coef, _, _ = ring_taylor(np.exp, [0.3j], [phase], 0.1, 32)
+    k = np.arange(24)
+    terms = np.exp(0.3j) * (0.1 * phase) ** k / _factorials(24)
+    assert np.max(np.abs(coef[0, :24] * 0.1**k - terms)) <= 1e-13 * np.max(np.abs(terms))
+
+
+def test_batched_rings_equal_one_ring_at_a_time():
+    def p(z):
+        return 1.0 / (1.0 - z) + np.exp(z)
+
+    centers = np.array([0.5, 0.3j, -0.2 + 0.1j])
+    phases = np.exp(1j * np.array([0.0, 1.0, 2.5]))
+    coef, tail, samples = ring_taylor(p, centers, phases, 0.15, 32)
+    for i in range(3):
+        one = ring_taylor(p, centers[i:i + 1], phases[i:i + 1], 0.15, 32)
+        assert np.array_equal(coef[i], one[0][0])
+        assert tail[i] == one[1][0] and np.array_equal(samples[i], one[2][0])
+
+
+def test_ring_tail_flags_a_singularity_inside_the_ring():
+    # 1/z about 0.1 with R = 0.2: the pole's Laurent terms alias onto the
+    # last coefficients
+    _, tail, _ = ring_taylor(lambda z: 1.0 / z, [0.1], [1.0], 0.2, 32)
+    assert tail[0] > 0.1
+    _, tail, _ = ring_taylor(lambda z: 1.0 / z, [0.5], [1.0], 0.1, 32)
+    assert tail[0] <= 1e-15
+
+
+def test_a_non_finite_sample_makes_the_tail_infinite():
+    def p(z):
+        return np.where(z.imag > 0.05, np.nan, 0.0)
+
+    _, tail, samples = ring_taylor(p, [0.0, 0.5j], [1.0, 1.0], 0.1, 32)
+    assert tail[0] == np.inf and tail[1] == np.inf
+    assert np.isfinite(samples[0, 0]) and not np.isfinite(samples[1, 0])

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gftkit import (
     QFunction,
     catalog,
+    parse,
     reconstruct_f_from_y,
     schwarzian,
     solve_ray,
     starlike_equivalence_check,
     starlike_margin,
 )
-from gftkit.errors import NonAnalyticSample, YVanishes
+from gftkit.errors import GftError, NonAnalyticSample, YVanishes
 from gftkit.rays import ReconstructedMap, _solve_rays
 
 pytestmark = pytest.mark.filterwarnings(
@@ -41,6 +44,17 @@ def test_constant_coefficient_closed_form_along_rays(theta):
     assert np.max(np.abs(ray.v - np.sin(b * ray.z) / b)) <= 1e-9
     assert np.max(np.abs(ray.u - np.cos(b * ray.z))) <= 1e-9
     assert ray.wronskian_drift <= 1e-9
+
+
+@pytest.mark.parametrize("b2", [100.0, 400.0])
+def test_a_large_coefficient_shortens_the_step(b2):
+    # p = b^2 is entire, so its rings allow steps of half the disk; the
+    # oscillation of sin(bz)/b is what must shorten them
+    b = np.sqrt(b2)
+    ray = solve_ray(lambda z: b2, theta=0.3)
+    v, u = np.sin(b * ray.z) / b, np.cos(b * ray.z)
+    assert np.max(np.abs(ray.v - v) / np.maximum(1.0, np.abs(v))) <= 1e-12
+    assert np.max(np.abs(ray.u - u) / np.maximum(1.0, np.abs(u))) <= 1e-12
 
 
 def test_ray_accepts_expression_coefficients():
@@ -142,6 +156,81 @@ def test_a_non_finite_coefficient_names_its_ray():
     thetas = np.roll(2.0 * np.pi * np.arange(8) / 8, 3)
     with pytest.raises(NonAnalyticSample, match=r"theta = 0\.0$"):
         _solve_rays(p, thetas)
+
+
+# -- the Taylor ring stepper against scipy's DOP853, a test-only oracle ----------
+
+
+def _dop853_ray(p, theta, rho):
+    """(v, u) at the radii ``rho`` (from rho[0] = 1e-3 on) by scipy's DOP853
+    at rtol 1e-12; None where it fails.  The seed at rho[0] solves the
+    integral equations w(z) = w(0) + w'(0) z - int_0^z (z - s) p(s) w(s) ds
+    with one Picard step, w(s) ~ w(0) + w'(0) s - p(s) s^2 (3 w(0) + w'(0) s) / 6,
+    on 6 Gauss-Legendre points: the local series v = z - p z^3 / 6 alone
+    misses u' by O(p' z^3), which |v| amplifies to ~1e-9 next to a boundary
+    singularity, and starting nearer 0 meets S_f's roundoff at a pole of f."""
+    from scipy.integrate import solve_ivp
+
+    e = np.exp(1j * theta)
+    z0 = rho[0] * e
+    x, w = np.polynomial.legendre.leggauss(6)
+    s, w = 0.5 * (x + 1.0) * z0, 0.5 * w * z0
+    ps = np.array([p(z) for z in s])
+    vs, us = s - ps * s**3 / 6.0, 1.0 - ps * s**2 / 2.0
+    state = np.array([z0 - np.sum(w * (z0 - s) * ps * vs), e * (1.0 - np.sum(w * ps * vs)),
+                      1.0 - np.sum(w * (z0 - s) * ps * us), -e * np.sum(w * ps * us)])
+
+    def rhs(t, y):
+        v, v_t, u, u_t = y.view(complex)
+        c = -e * e * p(t * e)
+        return np.array([v_t, c * v, u_t, c * u]).view(float)
+
+    try:
+        sol = solve_ivp(rhs, (rho[0], rho[-1]), state.view(float), method="DOP853",
+                        rtol=1e-12, atol=1e-14, t_eval=rho)
+    except GftError:
+        return None
+    if not sol.success:
+        return None
+    y = sol.y[0::2] + 1j * sol.y[1::2]
+    return y[0], y[2]
+
+
+def _agrees_with_dop853(f, theta):
+    p = lambda z: schwarzian(f, z) / 2.0  # noqa: E731
+    nodes = solve_ray(lambda z: 0.0, theta).rho[1:]  # the reporting radii past 0
+    ref = _dop853_ray(p, theta, nodes)
+    if ref is None:
+        return False
+    ray = solve_ray(p, theta)  # must not raise where DOP853 succeeds
+    v, u = ref
+    assert np.max(np.abs(ray.v[1:] - v) / np.maximum(1.0, np.abs(v))) <= 1e-9, (str(f), theta)
+    assert np.max(np.abs(ray.u[1:] - u) / np.maximum(1.0, np.abs(v))) <= 1e-9, (str(f), theta)
+    assert ray.wronskian_drift <= 1e-8, (str(f), theta)
+    return True
+
+
+def _complex_text(c):
+    return f"({float(c.real)!r} + {float(c.imag)!r}*i)"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0 * np.pi))
+def test_stepper_matches_dop853_on_random_b_forms(seed, theta):
+    # 1/z + a0 + a1 z + a2 z^2 with complex-normal coefficients of scales
+    # 0.5, 0.25 and 0.1
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=3) + 1j * rng.normal(size=3)) * np.array([0.5, 0.25, 0.1])
+    f = parse(f"1/z + {_complex_text(a[0])} + {_complex_text(a[1])}*z"
+              f" + {_complex_text(a[2])}*z^2")
+    _agrees_with_dop853(f, theta)
+
+
+@pytest.mark.parametrize("name", ["koebe", "inverse_log", "koebe_reciprocal"])
+def test_stepper_matches_dop853_next_to_a_boundary_singularity(name):
+    # S_f is singular at z = 1, 1e-3 past r_max on the ray theta = 0
+    assert _agrees_with_dop853(catalog.get_entry(name).expr, 0.0)
 
 
 # -- reconstruction on the real axis ------------------------------------------

@@ -117,8 +117,7 @@ def test_every_public_name_is_used():
     assert dead_public_names(modules, others) == []
 
 
-def test_only_the_ray_module_names_scipy():
-    # the ray ODE is scipy's one caller; every other route, palpha's Taylor
-    # stepper included, runs without importing it
+def test_no_module_names_scipy():
+    # both ODE routes are Taylor steppers; scipy is a test-only oracle
     naming = sorted(p.name for p in SRC.glob("*.py") if "scipy" in p.read_text())
-    assert naming == ["rays.py"]
+    assert naming == []
