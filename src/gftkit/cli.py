@@ -144,7 +144,7 @@ def _cmd_classify(args):
 def _cmd_order(args):
     f, text = _load(args.catalog_name, args.expr)
     fam = Family(args.family)
-    field = GridField(f, _sampler(args))
+    field = GridField(f, _sampler(args), (fam,))
     v = field.verdict(fam, 0.0, args.tol)
     refined = field.order_estimate(fam)
     lines = [
@@ -243,8 +243,8 @@ def _cmd_radius(args):
     holds, margin, wit = True, res.residual, (res.radius, res.radius)
     if args.check_expr or args.check_catalog:
         g, gtext = _load(args.check_catalog, args.check_expr)
-        r = args.at_radius if args.at_radius is not None else res.radius
-        chk = verify_radius(g, args.alpha, radius=r, tol=args.tol)
+        chk = verify_radius(g, args.alpha, radius=args.at_radius, tol=args.tol)
+        r = chk.radius
         rot = rotation_witness(g, args.alpha, r, tol=args.tol)
         v = chk.verdict
         lines += [

@@ -30,7 +30,14 @@ from .errors import (
 )
 from .expressions import FunctionExpr
 from .jets import Jet3, near_zero
-from .numerics import finite_samples, golden_polish, is_scalar, quasi_random_disk
+from .numerics import (
+    Extremum,
+    golden_polish,
+    is_scalar,
+    quasi_random_disk,
+    ring_blocks,
+    ring_points,
+)
 
 
 class Family(str, Enum):
@@ -79,14 +86,17 @@ class DiskSampler:
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.points_per_ring) / self.points_per_ring
 
+    def _grid(self, singular_points, exclusion_radius):
+        excl = max(self.exclusion_radius, exclusion_radius or 0.0)
+        return self.radii(), np.exp(1j * self.angles()), (0.0, *singular_points), excl
+
     def points(self, singular_points=(), exclusion_radius: float = None) -> np.ndarray:
         """Flattened complex grid with exclusion balls removed."""
-        excl = max(self.exclusion_radius, exclusion_radius or 0.0)
-        z = (self.radii()[:, None] * np.exp(1j * self.angles())[None, :]).ravel()
-        keep = np.abs(z) >= excl
-        for s in singular_points:
-            keep &= np.abs(z - complex(s)) >= excl
-        return z[keep]
+        return ring_points(*self._grid(singular_points, exclusion_radius))
+
+    def _blocks(self, singular_points=(), exclusion_radius: float = None):
+        """``points()`` as blocks of whole rings, in order, empty ones skipped."""
+        return ring_blocks(*self._grid(singular_points, exclusion_radius))
 
 
 @dataclass(frozen=True)
@@ -149,17 +159,56 @@ def functional_value(f: FunctionExpr, family: Family, z):
     return float(val) if scalar else val
 
 
+# The families that read Re(1 + z f''/f'), and those that read Re(z f'/f).
+_CONVEX = frozenset({Family.C, Family.BC, Family.BCI})
+_STARLIKE = frozenset({Family.SSTAR, Family.BSSTAR, Family.BCI})
+# bc and bsstar are minus c and sstar: their minimum is minus the others' maximum
+_NEGATED = frozenset({Family.BC, Family.BSSTAR})
+
+
 class GridField:
-    """One map evaluated once on one disk grid: the sampler's points and the
-    order-3 jet of f there, from which every verdict and order estimate on
-    this grid is read.  Only the golden polish evaluates f again, pointwise.
+    """One map evaluated once on one disk grid, for the families it is asked
+    for.  The grid streams through in blocks of whole rings: each block's
+    jet of f gives the family functionals there, and each family keeps only
+    its running grid minimum, the minimum's witness and the counts the 1%
+    rule reads.  Every verdict and order estimate on this grid is read from
+    those; only the golden polish evaluates f again, pointwise.
+
+    ``each_block(points, jet)``, if given, sees every block's jet too, so a
+    caller can reduce its own quantity in the same pass.
     """
 
-    def __init__(self, f: FunctionExpr, sampler: DiskSampler = None):
+    def __init__(self, f: FunctionExpr, sampler: DiskSampler = None,
+                 families=tuple(Family), each_block=None):
         self.f = f
         self.sampler = sampler or DiskSampler()
-        self.points = self.sampler.points(f.singular_points, f.exclusion_radius)
-        self.jet = f.jet(self.points)
+        self._minima = {fam: Extremum(largest=fam in _NEGATED) for fam in map(Family, families)}
+        convex = not _CONVEX.isdisjoint(self._minima)
+        starlike = not _STARLIKE.isdisjoint(self._minima)
+        for z in self.sampler._blocks(f.singular_points, f.exclusion_radius):
+            jet = f.jet(z)
+            if each_block is not None:
+                each_block(z, jet)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # each quotient is one complex division per point: only on demand
+                a = 1.0 + np.real(z * jet.v2 / jet.v1) if convex else None
+                b = np.real(z * jet.v1 / jet.v0) if starlike else None
+                # Re(1 + z v2/v1 - 2 z v1/v0) bit for bit: scaling by 2 is exact
+                bci = a - 2.0 * b if Family.BCI in self._minima else None
+                for fam, extremum in self._minima.items():
+                    extremum.add(bci if fam is Family.BCI else a if fam in _CONVEX else b, z)
+
+    def _minimum(self, family: Family):
+        """(grid minimum, its witness, finite samples, skipped samples); the
+        minimum is None when no grid point is finite."""
+        extremum = self._minima.get(family)
+        if extremum is None:
+            raise ValueError(f"family {family.value} was not evaluated on this grid")
+        extremum.require("grid points")
+        vmin = extremum.value
+        if vmin is not None and family in _NEGATED:
+            vmin = -vmin
+        return vmin, extremum.point, extremum.finite, extremum.total - extremum.finite
 
     def verdict(self, family: Family, alpha: float, tol: float = 1e-6) -> FamilyVerdict:
         """Sampled verdict on this grid; see ``membership``."""
@@ -172,26 +221,25 @@ class GridField:
                 UnivalenceNotChecked,
                 stacklevel=2,
             )
-        vals = _functional(family, self.points, self.jet)
-        finite = finite_samples(vals, "grid points")
-        skipped = int(vals.size - np.count_nonzero(finite))
-        vals, pts = vals[finite], self.points[finite]
+        vmin, witness, evaluated, skipped = self._minimum(family)
         if family in B_FAMILIES:
-            # removable limit at the origin pole
-            vals = np.append(vals, 1.0)
-            pts = np.append(pts, 0.0 + 0.0j)
-        i = int(np.argmin(vals))
-        vmin = float(vals[i])
+            # removable limit at the origin pole, counted last: a tie keeps the grid point
+            evaluated += 1
+            if vmin is None or 1.0 < vmin:
+                vmin, witness = 1.0, 0.0 + 0.0j
+        elif vmin is None:
+            raise EvaluationFailed("no grid point evaluated to a finite functional value")
+        vmin = float(vmin)
         margin = vmin - alpha
         return FamilyVerdict(
             family=family,
             alpha=alpha,
             holds_on_samples=bool(margin >= -tol),
             margin=margin,
-            witness=complex(pts[i]),
+            witness=complex(witness),
             witness_value=vmin,
             order_estimate=float(np.clip(vmin, 0.0, 1.0)),
-            samples_evaluated=int(vals.size),
+            samples_evaluated=evaluated,
             samples_skipped=skipped,
             tol=tol,
         )
@@ -199,18 +247,16 @@ class GridField:
     def order_estimate(self, family: Family) -> float:
         """Polished order estimate on this grid; see ``order_estimate``."""
         family = Family(family)
-        f, sampler, pts = self.f, self.sampler, self.points
-        vals = _functional(family, pts, self.jet)
-        finite = finite_samples(vals, "grid points")
-        if not finite.any():
+        f, sampler = self.f, self.sampler
+        vmin, z0, _, _ = self._minimum(family)
+        if vmin is None:
             raise EvaluationFailed("no grid point evaluated to a finite functional value")
-        i = int(np.argmin(np.where(finite, vals, np.inf)))
         r_lo = max(sampler.exclusion_radius, f.exclusion_radius)
         # the domain ends stand in for the missing neighbours of the end rings
         radii = np.concatenate(([r_lo], sampler.radii(), [sampler.r_max]))
-        k = 1 + int(np.argmin(np.abs(radii[1:-1] - abs(pts[i]))))
+        k = 1 + int(np.argmin(np.abs(radii[1:-1] - abs(z0))))
         best, _ = golden_polish(
-            lambda z: functional_value(f, family, z), pts[i], float(vals[i]),
+            lambda z: functional_value(f, family, z), z0, float(vmin),
             dr=max(radii[k] - radii[k - 1], radii[k + 1] - radii[k]),
             dth=2.0 * np.pi / sampler.points_per_ring, r_lo=r_lo, r_hi=sampler.r_max, rounds=1,
         )
@@ -230,7 +276,7 @@ def membership(
     not declared) up to 1% of the grid; beyond that the grid is judged
     unusable and EvaluationFailed is raised.
     """
-    return GridField(f, sampler).verdict(family, alpha, tol)
+    return GridField(f, sampler, (family,)).verdict(family, alpha, tol)
 
 
 def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None) -> float:
@@ -241,7 +287,7 @@ def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None)
     lining up with the true argmin.  The grid must pass the same 1% rule
     as ``membership``: EvaluationFailed otherwise.
     """
-    return GridField(f, sampler).order_estimate(family)
+    return GridField(f, sampler, (family,)).order_estimate(family)
 
 
 def injectivity_spot_check(

@@ -1,6 +1,7 @@
 """Small numerical kernels: the scalar test, bracketed root finding,
 golden-section search and the grid-minimum polish, Richardson extrapolation,
-Taylor coefficients from a ring of samples, quasi-random disk points, the 1%
+Taylor coefficients from a ring of samples, quasi-random disk points, polar
+grids streamed in blocks of whole rings, a running grid extremum, the 1%
 non-finite rule."""
 
 from __future__ import annotations
@@ -51,14 +52,85 @@ def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> 
     return 0.5 * (a + b)
 
 
+def check_failures(bad: int, total: int, what: str) -> None:
+    """The 1% rule: more than 1% non-finite samples out of ``total`` make the
+    sample set unusable and raise EvaluationFailed."""
+    if bad > 0.01 * total:
+        raise EvaluationFailed(f"{bad} of {total} {what} failed to evaluate (> 1%)")
+
+
 def finite_samples(vals, what: str) -> np.ndarray:
-    """Mask of the finite entries of ``vals``; more than 1% non-finite
-    samples make the sample set unusable and raise EvaluationFailed."""
+    """Mask of the finite entries of ``vals``, after the 1% rule."""
     finite = np.isfinite(vals)
-    bad = int(finite.size - np.count_nonzero(finite))
-    if bad > 0.01 * finite.size:
-        raise EvaluationFailed(f"{bad} of {finite.size} {what} failed to evaluate (> 1%)")
+    check_failures(int(finite.size - np.count_nonzero(finite)), finite.size, what)
     return finite
+
+
+# Points per block of a streamed grid.  A block's jet and functional
+# temporaries then stay within a core's L2 cache: blocks of 4 096 to 32 768
+# points measured alike on a 2-core host, and whole 128x4096 grids took 2-3x
+# longer per point.  Below 16 384 points no complex array reaches numpy's
+# 256 KiB temporary-elision threshold, so a point's jet does not depend on
+# the grid it lies on: elision reorders complex products, which numpy's SIMD
+# loops do not round commutatively.
+_RING_BLOCK_POINTS = 8192
+
+# Freeing one large block that malloc mapped raises glibc's mmap threshold to
+# its size and the heap's trim threshold to twice that, as the 8 MiB arrays of
+# whole 128x4096 grids used to.  At the default 128 KiB trim threshold, the
+# heap top that each grid block's temporaries free goes back to the system and
+# faults in again on the next block: ~110 page faults per 8 192-point block,
+# which made a 64x512 membership check up to twice as slow.  The array is never
+# touched, so it costs no resident memory; under other allocators it is one
+# short-lived allocation.
+np.empty(64 * _RING_BLOCK_POINTS, dtype=complex)
+
+
+def ring_points(radii, phases, centers, radius: float) -> np.ndarray:
+    """The points r e^{i theta}, ring by ring (``phases`` are the e^{i theta}),
+    without those closer than ``radius`` to any of ``centers``."""
+    z = (radii[:, None] * phases[None, :]).ravel()
+    far = [np.abs(z - complex(c)) >= radius for c in centers]
+    return z[np.logical_and.reduce(far)] if far else z
+
+
+def ring_blocks(radii, phases, centers, radius: float):
+    """``ring_points`` as consecutive blocks of whole rings, at least one ring
+    and about ``_RING_BLOCK_POINTS`` points each, in the same order and with
+    the same values; blocks that the balls empty are skipped."""
+    step = max(1, _RING_BLOCK_POINTS // phases.size)
+    for i in range(0, radii.size, step):
+        z = ring_points(radii[i:i + step], phases, centers, radius)
+        if z.size:
+            yield z
+
+
+class Extremum:
+    """First-occurrence minimum (or, with ``largest``, maximum) of values
+    streamed in blocks, with its point, skipping non-finite values and
+    counting them.  Across blocks only a strictly better value replaces the
+    best, so the point is the one ``np.argmin`` of the whole grid picks."""
+
+    def __init__(self, largest: bool = False):
+        self.largest = largest
+        self.value = self.point = None  # numpy scalars, as the grid holds them
+        self.finite = self.total = 0
+
+    def add(self, vals, points) -> None:
+        self.total += vals.size
+        finite = np.isfinite(vals)
+        if not finite.all():
+            vals, points = vals[finite], points[finite]
+        self.finite += vals.size
+        if not vals.size:
+            return
+        i = int(np.argmax(vals) if self.largest else np.argmin(vals))
+        if self.value is None or (vals[i] > self.value if self.largest else vals[i] < self.value):
+            self.value, self.point = vals[i], points[i]
+
+    def require(self, what: str) -> None:
+        """The 1% rule over every value added."""
+        check_failures(self.total - self.finite, self.total, what)
 
 
 def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):

@@ -74,6 +74,11 @@ def verify_radius(
     """
     r = float(radius) if radius is not None else radius_inverse_convexity(alpha).radius
     base = sampler or DiskSampler()
+    excl = max(base.exclusion_radius, g.exclusion_radius)
+    if r <= excl:  # r_alpha -> 0 as alpha -> 1
+        name = "radius" if radius is not None else "r_alpha"
+        raise ValueError(f"{name} = {r!r} lies inside the exclusion radius {excl!r} about "
+                         f"the origin: no grid point is left to sample")
     clipped = replace(base, r_max=min(r, base.r_max))
     verdict = membership(g, Family.BCI, alpha, sampler=clipped, tol=tol)
     return RadiusCheck(

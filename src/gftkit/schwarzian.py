@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EvaluationFailed, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
 from .jets import Jet3, near_zero
-from .numerics import finite_samples, golden_polish, is_scalar
+from .numerics import Extremum, golden_polish, is_scalar, ring_blocks
 
 
 def schwarzian(f: FunctionExpr, z):
@@ -83,31 +83,31 @@ def schwarzian_norm(
     """Grid + polish lower bound for sup (1-|z|^2)^2 |S_f|.
 
     The weight kills the boundary, so unlike the membership grids the
-    radii here are uniform on (0, 1); the polish alternates golden-section
-    sweeps in radius and angle around the best grid point.
+    radii here are uniform on (0, 1); the grid streams through in blocks of
+    whole rings, keeping only the running maximum, and the polish alternates
+    golden-section sweeps in radius and angle around the best grid point.
     """
     if rings < 8 or points_per_ring < 64:
         raise ValueError("need rings >= 8 and points_per_ring >= 64")
     r_lo, r_hi = 1e-4, 1.0 - 1e-4
     radii = np.linspace(r_lo, r_hi, rings)
     angles = 2.0 * np.pi * np.arange(points_per_ring) / points_per_ring
-    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    for s in f.singular_points:
-        z = z[np.abs(z - complex(s)) >= f.exclusion_radius]
-    vals = weighted_modulus(f, z)
-    finite = finite_samples(vals, "norm grid points")
-    skipped = int(vals.size - np.count_nonzero(finite))
-    i = int(np.argmax(np.where(finite, vals, -np.inf)))
+    best = Extremum(largest=True)
+    for z in ring_blocks(radii, np.exp(1j * angles), f.singular_points, f.exclusion_radius):
+        best.add(weighted_modulus(f, z), z)
+    best.require("norm grid points")
+    if best.value is None:
+        raise EvaluationFailed("no norm grid point evaluated to a finite value")
     neg, argmax = golden_polish(
-        lambda w: -weighted_modulus(f, complex(w)), z[i], -float(vals[i]),
+        lambda w: -weighted_modulus(f, complex(w)), best.point, -float(best.value),
         dr=(r_hi - r_lo) / (rings - 1), dth=2.0 * np.pi / points_per_ring,
         r_lo=r_lo, r_hi=r_hi, rounds=refine_iters,
     )
     return NormEstimate(
         lower_bound=-neg,
         argmax=argmax,
-        evaluated=int(vals.size - skipped),
-        skipped=skipped,
+        evaluated=best.finite,
+        skipped=best.total - best.finite,
     )
 
 

@@ -165,6 +165,13 @@ def test_radius_with_a_sampled_check(capsys):
     assert code == 1 and report["verdict"]["holds"] is False
 
 
+def test_radius_check_inside_the_exclusion_ball_exits_two(capsys):
+    assert main(["radius", "--alpha", "0.999", "--check-catalog", "quarter_pole"]) == 2
+    err = capsys.readouterr().err
+    assert "r_alpha = 0.00025" in err and "exclusion radius 0.001" in err
+    assert "need 0 < exclusion_radius" not in err
+
+
 def test_order_reports_the_refined_estimate(capsys):
     code, report = run_json(capsys, ["order", "--catalog", "quarter_pole",
                                      "--family", "bc"] + FAST)

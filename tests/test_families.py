@@ -1,5 +1,6 @@
 """Family functionals, disk sampling, and membership verdicts."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,9 +16,11 @@ from gftkit import (
     membership,
     order_estimate,
     parse,
+    schwarzian_norm,
     verify_inclusions,
     verify_sufficiency,
 )
+from gftkit import catalog, numerics
 from gftkit.catalog import get_entry
 from gftkit.cli import main
 from gftkit.families import GridField
@@ -229,13 +232,21 @@ def test_each_map_is_evaluated_once_per_grid(monkeypatch, capsys):
 
     def counting_jet(self, z):
         if np.ndim(z):
-            grid_calls.append(str(self))
+            grid_calls.append((self, np.size(z)))
         return jet(self, z)
 
     def count(run):
         grid_calls.clear()
         run()
         return len(grid_calls)
+
+    def points_per_map(run):
+        grid_calls.clear()
+        run()
+        sizes = {}  # the calls hold each map: no id is reused meanwhile
+        for expr, size in grid_calls:
+            sizes[id(expr)] = sizes.get(id(expr), 0) + size
+        return sorted(sizes.values())
 
     monkeypatch.setattr(FunctionExpr, "jet", counting_jet)
     s = DiskSampler(rings=16, points_per_ring=128)
@@ -246,6 +257,106 @@ def test_each_map_is_evaluated_once_per_grid(monkeypatch, capsys):
     assert count(lambda: verify_sufficiency(f, QFunction.constant(1.0), 0.0, sampler=s)) == 1
     assert count(lambda: main(["order", "--catalog", "quarter_pole", "--family", "bc",
                                "--rings", "16", "--points", "128"])) == 1
+
+    # a grid of several blocks: each point of each map is evaluated exactly once
+    big = DiskSampler(rings=64, points_per_ring=512)
+    size = big.points((0,)).size
+    assert points_per_map(lambda: verify_inclusions(g, (0.1, 0.25, 0.4),
+                                                    sampler=big)) == [size] * 4
+    assert count(lambda: verify_sufficiency(f, QFunction.constant(1.0), 0.0, sampler=big)) > 1
+    assert points_per_map(lambda: verify_sufficiency(f, QFunction.constant(1.0), 0.0,
+                                                     sampler=big)) == [size]
+    assert points_per_map(lambda: main(["order", "--catalog", "quarter_pole", "--family",
+                                        "bc"])) == [size]
+
+
+# -- the grid streams through blocks of whole rings ---------------------------
+
+ONE_RING, WHOLE_GRID = 1, 10**9  # block sizes, in points
+
+
+def test_blocks_concatenate_to_the_grid(monkeypatch):
+    for s, singular, excl in (
+        (DiskSampler(rings=128, points_per_ring=4096), (0,), None),
+        (DiskSampler(rings=16, points_per_ring=64), (0.5, -0.3j), 0.05),
+        (DiskSampler(r_max=0.02, rings=64, points_per_ring=64), (), None),
+    ):
+        grid = s.points(singular, excl)
+        for block in (numerics._RING_BLOCK_POINTS, ONE_RING, WHOLE_GRID):
+            monkeypatch.setattr(numerics, "_RING_BLOCK_POINTS", block)
+            blocks = list(s._blocks(singular, excl))
+            assert all(b.size for b in blocks)
+            joined = np.concatenate(blocks)
+            assert joined.dtype == grid.dtype and np.array_equal(joined, grid)
+            assert np.array_equal(np.signbit(joined.imag), np.signbit(grid.imag))
+    # the default block holds whole rings: two of 4096 points
+    monkeypatch.undo()
+    s = DiskSampler(rings=128, points_per_ring=4096)
+    assert {b.size for b in s._blocks((0,))} == {8192}
+
+
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+def test_block_size_does_not_change_any_answer(monkeypatch):
+    s = DiskSampler(rings=16, points_per_ring=256)
+    answers = []
+    for block in (ONE_RING, WHOLE_GRID):
+        monkeypatch.setattr(numerics, "_RING_BLOCK_POINTS", block)
+        out = []
+        for f in (e.expr for e in catalog.entries()):
+            field = GridField(f, s)
+            for fam in Family:
+                out += [field.verdict(fam, a) for a in (0.0, 0.3, 0.6)]
+                out.append(field.order_estimate(fam))
+            # below 16 384 points a jet does not depend on its array's length
+            out.append(schwarzian_norm(f, 16, 256))
+        answers.append(out)
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+def test_ties_keep_the_first_grid_point(monkeypatch):
+    # (1-z)/z has the bc functional 1 up to roundoff; its smallest value
+    # 0.9999999999999989 occurs three times on this grid, first at index 691
+    f = get_entry("mobius_pole").expr
+    s = DiskSampler(rings=16, points_per_ring=128)
+    # on one ring of 1/z every bsstar value is exactly 1: the origin's limit
+    # value 1, counted last, loses the tie to the first grid point
+    inv, ring = parse("1/z", singular_points=(0,)), DiskSampler(r_max=0.5, rings=1,
+                                                                points_per_ring=8)
+    for block in (ONE_RING, WHOLE_GRID):
+        monkeypatch.setattr(numerics, "_RING_BLOCK_POINTS", block)
+        v = membership(f, Family.BC, 0.5, sampler=s)
+        assert v.witness == s.points((0,))[691] == -0.7429754638056897 + 0.5510281585982088j
+        assert v.witness_value == 0.9999999999999989
+        v = membership(inv, Family.BSSTAR, 0.5, sampler=ring)
+        assert v.witness == 0.5 and v.witness_value == 1.0 and v.samples_evaluated == 9
+
+
+def test_a_block_the_exclusion_ball_empties_is_skipped(monkeypatch):
+    # the three inner rings lie inside the 1e-3 ball about the origin
+    s = DiskSampler(r_max=0.02, rings=64, points_per_ring=64)
+    assert np.count_nonzero(s.radii() < 1e-3) == 3
+    f = get_entry("quarter_pole").expr
+    monkeypatch.setattr(numerics, "_RING_BLOCK_POINTS", ONE_RING)
+    v = membership(f, Family.BC, 0.3, sampler=s)
+    assert v.margin == 0.6998000199980003 and v.samples_evaluated == 61 * 64 + 1
+    assert v.witness == 1.2246467991473543e-18 + 0.020000000000000018j
+    assert order_estimate(f, Family.BC, sampler=s) == 0.9998000199979997
+
+
+def test_grid_checks_stream_in_bounded_memory():
+    # whole 128x4096 grids peaked at 64 MiB: the points, the jet and temporaries
+    f = get_entry("quarter_pole").expr
+    s = DiskSampler(rings=128, points_per_ring=4096)
+    for run in (lambda: membership(f, Family.BC, 0.5, sampler=s),
+                lambda: schwarzian_norm(f, 128, 4096)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def test_injectivity_spot_check_is_a_coarse_screen():

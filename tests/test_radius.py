@@ -98,6 +98,20 @@ def test_verify_radius_default_uses_the_computed_radius():
     assert chk.holds_inside  # order-1/2 convexity holds on the whole disk a fortiori
 
 
+def test_a_radius_inside_the_exclusion_ball_is_refused_by_name():
+    # r_alpha -> 0 as alpha -> 1: at alpha = 0.999 it is 2.5e-4, inside the
+    # 1e-3 ball about the origin, so no grid point is left to sample
+    g = catalog.get_entry("quarter_pole").expr
+    r = radius_inverse_convexity(0.999).radius
+    assert r == pytest.approx(2.5e-4, rel=1e-3)
+    with pytest.raises(ValueError) as err:
+        verify_radius(g, 0.999)
+    assert str(err.value).startswith(f"r_alpha = {r!r} lies inside the exclusion radius 0.001")
+    with pytest.raises(ValueError,
+                       match=r"radius = 0\.0005 lies inside the exclusion radius 0\.001"):
+        verify_radius(g, 0.5, radius=5e-4)
+
+
 def test_rotation_witness_reports_the_ring_minimum():
     g = catalog.get_entry("koebe_reciprocal").expr
     r = 0.3
