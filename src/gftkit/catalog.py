@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .expressions import FunctionExpr, parse
-from .families import Family
+from .shared import Family
 
 
 @dataclass(frozen=True)

@@ -9,29 +9,32 @@ text report for a machine-readable one with the fixed key order
 {command, inputs, verdict, order_estimate?, tolerances, wall_time_ms,
 version}; everything except wall_time_ms is reproducible bit-for-bit for
 fixed inputs and --seed.
+
+Start-up comes in two tiers.  This module imports no numpy: ``--version``,
+``--help``, ``catalog`` and every input that fails to parse are answered
+without it.  ``main`` reads every map, point and list the arguments give
+as text first, then imports the modules the subcommand runs, and only
+then starts the clock that ``wall_time_ms`` reports.  Handlers import
+their names from those modules, which are loaded by then.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import errno
+import importlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__, catalog
 from .errors import EvaluationFailed, GftError, WronskianDrift
-from .expressions import parse
-from .families import DiskSampler, Family, GridField, injectivity_spot_check, membership
-from .palpha import QFunction, check_palpha, constant_solver, sharpness_construct
-from .radius import radius_inverse_convexity, rotation_witness, verify_radius
-from .rays import starlike_equivalence_check
-from .schwarzian import schwarzian, schwarzian_norm
-from .theorems import CHECK_IDS, verify_duality, verify_inclusions, verify_sufficiency
+from .expressions import FunctionExpr, parse
+from .shared import CHECK_IDS, Family
 
 
 def _parse_complex(text: str) -> complex:
@@ -41,11 +44,14 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}; use forms like 0.5 or 0.3+0.4i")
 
 
-def _add_common(p, handler):
+def _add_common(p, handler, *modules):
+    """``modules``: what ``handler`` runs, for ``main`` to import before the
+    clock; gftkit's modules relative (".palpha"), and numpy's lazily loaded
+    submodules that the numerics reach (np.unique loads numpy.ma)."""
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for quasi-random sampling")
     p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
-    p.set_defaults(func=handler)
+    p.set_defaults(func=handler, modules=modules)
 
 
 def _add_source(p, required=True):
@@ -71,7 +77,48 @@ def _load(name, text):
     return parse(text), text
 
 
-def _sampler(args) -> DiskSampler:
+def _parse_alphas(text: str) -> list:
+    alphas = [float(a) for a in text.split(",") if a.strip()]
+    if not alphas:
+        raise ValueError(f"--alphas {text!r} names no order; give comma-separated orders "
+                         "such as 0.1,0.25")
+    return alphas
+
+
+def _read_q(args):
+    """--q-const, else the map --q; parsed, not yet screened."""
+    if args.q_const is not None:
+        return args.q_const
+    if args.q:
+        return parse(args.q, variable="x")
+    raise ValueError("need --q or --q-const")
+
+
+def _read_inputs(args):
+    """Parse what the arguments give as text, with the numpy-free parser and
+    catalog: the map (``args.f``, ``args.text``), the map to check
+    (``args.g``, ``args.gtext``), the coefficient (``args.q_source``), the
+    point (``args.point``) and the orders (``args.alpha_list``): only what
+    the subcommand, and the theorem check, will read.  Adds to
+    ``args.modules`` what those inputs make the handler run."""
+    if hasattr(args, "catalog_name"):
+        args.f, args.text = _load(args.catalog_name, args.expr)
+    if getattr(args, "check_expr", None) or getattr(args, "check_catalog", None):
+        args.g, args.gtext = _load(args.check_catalog, args.check_expr)
+    if args.command == "schwarzian":
+        args.point = _parse_complex(args.z)
+    if args.command == "palpha" or getattr(args, "check", None) == "sufficiency":
+        args.q_source = _read_q(args)
+        args.modules += ("numpy.ma",)  # the positivity-class ODE's np.unique loads it
+    if getattr(args, "check", None) == "inclusions":
+        args.alpha_list = _parse_alphas(args.alphas)
+    if any(isinstance(v, FunctionExpr) for v in vars(args).values()):
+        args.modules += (".compiler",)  # the handler evaluates the map it was given
+
+
+def _sampler(args):
+    from .families import DiskSampler
+
     return DiskSampler(
         r_max=args.rmax,
         rings=args.rings,
@@ -118,7 +165,9 @@ class _Report:
 
 
 def _cmd_classify(args):
-    f, text = _load(args.catalog_name, args.expr)
+    from .families import injectivity_spot_check, membership
+
+    f, text = args.f, args.text
     v = membership(f, Family(args.family), args.alpha, sampler=_sampler(args), tol=args.tol)
     lines = [
         f"family {v.family.value}, alpha = {v.alpha}",
@@ -142,7 +191,9 @@ def _cmd_classify(args):
 
 
 def _cmd_order(args):
-    f, text = _load(args.catalog_name, args.expr)
+    from .families import GridField
+
+    f, text = args.f, args.text
     fam = Family(args.family)
     field = GridField(f, _sampler(args), (fam,))
     v = field.verdict(fam, 0.0, args.tol)
@@ -162,8 +213,11 @@ def _cmd_order(args):
 
 
 def _cmd_schwarzian(args):
-    f, text = _load(args.catalog_name, args.expr)
-    z = _parse_complex(args.z)
+    import numpy as np
+
+    from .schwarzian import schwarzian
+
+    f, text, z = args.f, args.text, args.point
     with np.errstate(all="ignore"):  # an overflowing jet is reported below, not warned about
         s = schwarzian(f, z)
     if not cmath.isfinite(s):
@@ -176,7 +230,9 @@ def _cmd_schwarzian(args):
 
 
 def _cmd_norm(args):
-    f, text = _load(args.catalog_name, args.expr)
+    from .schwarzian import schwarzian_norm
+
+    f, text = args.f, args.text
     est = schwarzian_norm(f, rings=args.rings, points_per_ring=args.points,
                           refine_iters=args.refine)
     lines = [
@@ -192,16 +248,19 @@ def _cmd_norm(args):
     )
 
 
-def _q_from_args(args) -> QFunction:
-    if getattr(args, "q_const", None) is not None:
-        return QFunction.constant(args.q_const)
-    if getattr(args, "q", None):
-        return QFunction.from_expression(args.q)
-    raise ValueError("need --q or --q-const")
+def _q_function(source):
+    """The coefficient ``_read_q`` read, screened as a QFunction."""
+    from .palpha import QFunction
+
+    if isinstance(source, FunctionExpr):
+        return QFunction.from_expression(source)
+    return QFunction.constant(source)
 
 
 def _cmd_palpha(args):
-    q = _q_from_args(args)
+    from .palpha import check_palpha
+
+    q = _q_function(args.q_source)
     v = check_palpha(q, args.alpha, eps_end=args.eps_end, tol=args.tol)
     lines = [
         f"q: {q.label}",
@@ -222,6 +281,10 @@ def _cmd_palpha(args):
 
 
 def _cmd_const_q(args):
+    import numpy as np
+
+    from .palpha import constant_solver
+
     c = constant_solver(args.target)
     t = np.sqrt(c)
     residual = abs(t / np.tan(t) - args.target)
@@ -233,6 +296,8 @@ def _cmd_const_q(args):
 
 
 def _cmd_radius(args):
+    from .radius import radius_inverse_convexity, rotation_witness, verify_radius
+
     res = radius_inverse_convexity(args.alpha)
     lines = [
         f"radius of inverse convexity at alpha = {args.alpha}: {res.radius!r}",
@@ -242,7 +307,7 @@ def _cmd_radius(args):
     inputs = {"alpha": args.alpha, "seed": args.seed}
     holds, margin, wit = True, res.residual, (res.radius, res.radius)
     if args.check_expr or args.check_catalog:
-        g, gtext = _load(args.check_catalog, args.check_expr)
+        g, gtext = args.g, args.gtext
         chk = verify_radius(g, args.alpha, radius=args.at_radius, tol=args.tol)
         r = chk.radius
         rot = rotation_witness(g, args.alpha, r, tol=args.tol)
@@ -261,7 +326,11 @@ _WRONSKIAN_TOL = 1e-8
 
 
 def _cmd_factor_check(args):
-    f, text = _load(args.catalog_name, args.expr)
+    import numpy as np
+
+    from .rays import starlike_equivalence_check
+
+    f, text = args.f, args.text
     tol = max(args.tol, 1e-4)
     rep = starlike_equivalence_check(f, args.alpha, n_rays=args.rays, sampler=_sampler(args),
                                      tol=tol)
@@ -289,16 +358,17 @@ def _cmd_factor_check(args):
 
 
 def _cmd_theorem(args):
+    from .theorems import verify_duality, verify_inclusions, verify_sufficiency
+
+    f, text = args.f, args.text
     sampler = _sampler(args)
-    f, text = _load(args.catalog_name, args.expr)
     if args.check == "sufficiency":
-        rep = verify_sufficiency(f, _q_from_args(args), args.alpha, sampler=sampler,
+        rep = verify_sufficiency(f, _q_function(args.q_source), args.alpha, sampler=sampler,
                                  tol=args.tol)
     elif args.check == "duality":
         rep = verify_duality(f, args.alpha, sampler=sampler, tol=args.tol)
     else:
-        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-        rep = verify_inclusions(f, alphas, sampler=sampler, tol=args.tol)
+        rep = verify_inclusions(f, args.alpha_list, sampler=sampler, tol=args.tol)
     lines = [f"check: {rep.check_id}", f"subject: {rep.subject}"]
     lines += [
         f"  [{'pass' if it.passed else 'FAIL'}] {it.name}: margin {it.margin:.6g}"
@@ -314,6 +384,8 @@ def _cmd_theorem(args):
 
 
 def _cmd_sharpness(args):
+    from .palpha import sharpness_construct
+
     res = sharpness_construct(args.n, args.beta, eps_end=args.eps_end)
     lines = [
         f"coefficient: {res.q.label}",
@@ -358,25 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--alpha", type=float, default=0.0)
     _add_sampler(p)
-    _add_common(p, _cmd_classify)
+    _add_common(p, _cmd_classify, ".families")
 
     p = sub.add_parser("order", help="largest sampled order for a family")
     _add_source(p)
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     _add_sampler(p)
-    _add_common(p, _cmd_order)
+    _add_common(p, _cmd_order, ".families")
 
     p = sub.add_parser("schwarzian", help="Schwarzian derivative at a point")
     _add_source(p)
     p.add_argument("--z", required=True, help="evaluation point, e.g. 0.3+0.4i")
-    _add_common(p, _cmd_schwarzian)
+    _add_common(p, _cmd_schwarzian, ".schwarzian")
 
     p = sub.add_parser("norm", help="hyperbolically weighted Schwarzian norm (lower bound)")
     _add_source(p)
     p.add_argument("--rings", type=int, default=64)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--refine", type=int, default=3, help="golden-section polish rounds")
-    _add_common(p, _cmd_norm)
+    _add_common(p, _cmd_norm, ".schwarzian")
 
     p = sub.add_parser("palpha", help="positivity-class membership for a coefficient q")
     g = p.add_mutually_exclusive_group(required=True)
@@ -385,11 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps-end", type=float, default=2.0**-21,
                    help="distance to 1 at which integration stops")
-    _add_common(p, _cmd_palpha)
+    _add_common(p, _cmd_palpha, ".palpha")
 
     p = sub.add_parser("const-q", help="constant coefficient matching a boundary limit")
     p.add_argument("--target", type=float, required=True, help="target limit in (0,1)")
-    _add_common(p, _cmd_const_q)
+    _add_common(p, _cmd_const_q, ".palpha")
 
     p = sub.add_parser("radius", help="radius of inverse convexity, optional sampled check")
     p.add_argument("--alpha", type=float, required=True)
@@ -398,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--check-catalog", metavar="NAME", help="catalog entry to verify")
     p.add_argument("--at-radius", type=float, default=None,
                    help="verify at this radius instead of r_alpha")
-    _add_common(p, _cmd_radius)
+    _add_common(p, _cmd_radius, ".radius")
 
     p = sub.add_parser("factor-check", help="convexity vs starlike factor-solution agreement")
     _add_source(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--rays", type=int, default=64)
     _add_sampler(p)
-    _add_common(p, _cmd_factor_check)
+    _add_common(p, _cmd_factor_check, ".rays", "numpy.fft", "numpy.ma")
 
     p = sub.add_parser("theorem", help="structural consistency checks")
     p.add_argument("--check", required=True, choices=CHECK_IDS)
@@ -416,14 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.1,0.25,0.4",
                    help="comma-separated orders (inclusions)")
     _add_sampler(p)
-    _add_common(p, _cmd_theorem)
+    _add_common(p, _cmd_theorem, ".theorems")
 
     p = sub.add_parser("sharpness", help="search for a convexity breakdown point of the "
                                          "monomial coefficient construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eps-end", type=float, default=1e-6)
-    _add_common(p, _cmd_sharpness)
+    _add_common(p, _cmd_sharpness, ".palpha", ".compiler", "numpy.ma")
 
     p = sub.add_parser("catalog", help="list the built-in reference maps")
     _add_common(p, _cmd_catalog)
@@ -433,17 +505,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        _read_inputs(args)
+        for module in args.modules:
+            importlib.import_module(module, __package__)
+        t0 = time.perf_counter()
         report = args.func(args)
     except (GftError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument: print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
-    if args.json:
-        wall_time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-        print(json.dumps(report.as_json(args, wall_time_ms), indent=2))
-    else:
-        print(*report.lines, sep="\n")
+    wall_time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    try:
+        if args.json:
+            print(json.dumps(report.as_json(args, wall_time_ms), indent=2))
+        else:
+            print(*report.lines, sep="\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            # the reader is gone; the interpreter's exit-time flush must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return (0 if report.holds else 1) if report.code is None else report.code
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,24 +32,11 @@ from .jets import Jet3, near_zero
 from .numerics import (
     Extremum,
     golden_polish,
-    is_scalar,
     quasi_random_disk,
     ring_blocks,
     ring_points,
 )
-
-
-class Family(str, Enum):
-    C = "c"
-    SSTAR = "sstar"
-    BC = "bc"
-    BSSTAR = "bsstar"
-    BCI = "bci"
-
-
-# Families whose members carry the normalized simple pole at the origin;
-# their functional has the removable limit value 1 at z = 0.
-B_FAMILIES = frozenset({Family.BC, Family.BSSTAR, Family.BCI})
+from .shared import B_FAMILIES, Family, is_scalar
 
 
 @dataclass(frozen=True)

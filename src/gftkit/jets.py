@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BranchPointOrPole, DivisionAtZero
-from .numerics import is_scalar
+from .shared import is_scalar
 
 # Magnitudes below this are treated as exact singular hits.  Chosen a
 # few decades above double eps so that 1/(z-z0) style factors computed

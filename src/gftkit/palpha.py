@@ -37,7 +37,8 @@ from .errors import (
     TargetOutOfRange,
 )
 from .expressions import FunctionExpr, parse
-from .numerics import bisect, is_scalar, richardson
+from .numerics import bisect, richardson
+from .shared import is_scalar
 
 _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
 _IMAG_TOL = 1e-12  # relative allowance for roundoff in Im q

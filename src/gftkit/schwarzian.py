@@ -17,7 +17,8 @@ import numpy as np
 from .errors import EvaluationFailed, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
 from .jets import Jet3, near_zero
-from .numerics import Extremum, golden_polish, is_scalar, ring_blocks
+from .numerics import Extremum, golden_polish, ring_blocks
+from .shared import is_scalar
 
 
 def schwarzian(f: FunctionExpr, z):

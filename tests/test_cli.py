@@ -140,6 +140,36 @@ def test_schwarzian_of_a_map_whose_derivative_overflows_abs(capsys):
     assert capsys.readouterr().out == "S_f((0.5+0j)) = 0 + 0i\n|S_f| = 0\n"
 
 
+def test_an_unknown_catalog_name_is_printed_as_its_message(capsys):
+    assert main(["order", "--catalog", "nosuch", "--family", "bc"]) == 2
+    known = ", ".join(catalog.names())
+    assert capsys.readouterr().err == f"error: no catalog entry 'nosuch'; known: {known}\n"
+
+
+def test_an_empty_alphas_list_is_a_usage_error(capsys):
+    argv = ["theorem", "--check", "inclusions", "--catalog", "quarter_pole", "--alphas", ","]
+    assert main(argv + FAST) == 2
+    assert capsys.readouterr().err == (
+        "error: --alphas ',' names no order; give comma-separated orders such as 0.1,0.25\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--json"],
+    ["classify", "--catalog", "quarter_pole", "--family", "bc", "--json"] + FAST,
+], ids=["catalog", "classify"])
+def test_a_closed_stdout_gives_an_error_line_not_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the report is written
+    try:
+        out = subprocess.run([sys.executable, "-m", "gftkit.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=_child_env())
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+    assert out.stderr == "error: cannot write the report: Broken pipe\n"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -233,14 +263,15 @@ def test_factor_check_agreement(capsys):
 def test_factor_check_gates_the_wronskian_tolerance(capsys, monkeypatch):
     import dataclasses
 
-    import gftkit.cli as cli
+    import gftkit.rays as rays
 
-    real_check = cli.starlike_equivalence_check
+    real_check = rays.starlike_equivalence_check
 
     def drifting_check(*args, **kwargs):
         return dataclasses.replace(real_check(*args, **kwargs), wronskian_worst=1e-6)
 
-    monkeypatch.setattr(cli, "starlike_equivalence_check", drifting_check)
+    # the handler imports the check from its module when it runs
+    monkeypatch.setattr(rays, "starlike_equivalence_check", drifting_check)
     code = main(["factor-check", "--catalog", "mobius_pole", "--alpha", "0.8",
                  "--rays", "8", "--json"] + FAST)
     captured = capsys.readouterr()
@@ -320,6 +351,176 @@ def test_parser_registers_every_subcommand():
 
 
 # -- import graph ----------------------------------------------------------------
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(gftkit.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _probe(code, *argv):
+    """stdout of ``code`` run in a fresh interpreter, parsed as JSON."""
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True, env=_child_env())
+    return json.loads(out.stdout)
+
+
+_LIGHT_PROBE = """
+import contextlib, io, json, sys
+from gftkit.cli import main
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded.append([code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+# listings, usage, and input that fails to parse or names no catalog entry
+LIGHT_CALLS = [
+    ["--version"], ["--help"], ["catalog"], ["catalog", "--json"],
+    ["classify", "--expr", "1/(z", "--family", "bc"],
+    ["order", "--expr", "z +", "--family", "bc", "--json"],
+    ["norm", "--expr", "sin(z"],
+    ["schwarzian", "--expr", "z^z", "--z", "0.5"],
+    ["theorem", "--check", "duality", "--expr", "1/(z"],
+    ["factor-check", "--expr", "exp z", "--json"],
+    ["classify", "--catalog", "nosuch", "--family", "bc"],
+    ["schwarzian", "--catalog", "koebe", "--z", "abc"],
+    ["palpha", "--q", "2*(1-", "--alpha", "0.5"],
+    ["radius", "--alpha", "0.3", "--check-expr", "1/("],
+    ["theorem", "--check", "inclusions", "--catalog", "quarter_pole", "--alphas", ","],
+]
+
+
+def test_listings_and_bad_input_are_answered_without_numpy():
+    codes = [0, 0, 0, 0] + [2] * (len(LIGHT_CALLS) - 4)
+    assert _probe(_LIGHT_PROBE, json.dumps(LIGHT_CALLS)) == [[c, False] for c in codes]
+
+
+def test_classify_imports_only_the_modules_it_runs():
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from gftkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in ('gftkit.rays', 'gftkit.theorems', 'gftkit.palpha',\n"
+        "                              'gftkit.radius') if m in sys.modules]))\n"
+    )
+    argv = ["classify", "--catalog", "quarter_pole", "--family", "bc"] + FAST
+    assert _probe(probe, *argv) == []
+
+
+_CLOCK_PROBE = """
+import contextlib, io, json, sys, time
+from gftkit.cli import main
+
+clock, at_start = time.perf_counter, []
+
+
+def clock_that_notes_the_modules():
+    if not at_start:  # main's clock start
+        at_start.append(set(sys.modules))
+    return clock()
+
+
+time.perf_counter = clock_that_notes_the_modules
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - at_start[0])))
+"""
+
+CLOCKED_CALLS = {
+    "classify": ["classify", "--catalog", "inverse_log", "--family", "bci"] + FAST,
+    "order": ["order", "--catalog", "quarter_pole", "--family", "bc"] + FAST,
+    "schwarzian": ["schwarzian", "--catalog", "koebe", "--z", "0.3+0.4i"],
+    "norm": ["norm", "--catalog", "koebe", "--rings", "8", "--points", "64", "--refine", "1"],
+    "palpha --q": ["palpha", "--q", "2*(1-x)", "--alpha", "0.5"],
+    "palpha --q-const": ["palpha", "--q-const", "1", "--alpha", "0.5"],
+    "const-q": ["const-q", "--target", "0.5"],
+    "radius": ["radius", "--alpha", "0.3"],
+    "radius --check-catalog": ["radius", "--alpha", "0.3", "--check-catalog", "koebe_reciprocal"],
+    "factor-check": ["factor-check", "--catalog", "mobius_pole", "--rays", "8"] + FAST,
+    "theorem duality": ["theorem", "--check", "duality", "--catalog", "inverse_log"] + FAST,
+    "theorem sufficiency": ["theorem", "--check", "sufficiency", "--catalog", "mobius_pole",
+                            "--q-const", "0"] + FAST,
+    "theorem inclusions": ["theorem", "--check", "inclusions", "--catalog", "mobius_pole"] + FAST,
+    "sharpness": ["sharpness", "--n", "3", "--beta", "0.5"],
+    "catalog": ["catalog", "--json"],
+}
+
+
+def test_no_module_is_imported_while_the_clock_runs():
+    # wall_time_ms times the work: each subcommand's imports come before it
+    loaded = {name: _probe(_CLOCK_PROBE, *argv) for name, argv in CLOCKED_CALLS.items()}
+    assert loaded == {name: [] for name in CLOCKED_CALLS}
+
+
+EXPORTED = [
+    "CatalogEntry", "FamilyClaim", "catalog_json", "cot_scaled", "entries", "get_entry",
+    "names", "power_ratio", "BranchPointOrPole", "DegenerateMobius", "DivisionAtZero",
+    "EvaluationFailed", "ExprSyntaxError", "ExtrapolationDiverged", "GftError",
+    "LocallyNonUnivalent", "NonAnalyticSample", "NonnegativityViolated", "QuadratureFailed",
+    "StepSizeUnderflow", "TargetOutOfRange", "UnivalenceNotChecked", "WronskianDrift",
+    "YVanishes", "FunctionExpr", "LaurentProbe", "compose_mobius", "const_expr", "eval_jet",
+    "laurent_b_check", "parse", "scale_variable", "var_expr", "B_FAMILIES", "DiskSampler",
+    "Family", "FamilyVerdict", "functional_value", "injectivity_spot_check", "membership",
+    "order_estimate", "Jet3", "variable", "bisect", "golden_min", "golden_polish",
+    "quasi_random_disk", "richardson", "IntegralCheck", "OdeSolution", "PalphaVerdict",
+    "QFunction", "SharpnessResult", "check_palpha", "constant_solver", "integral_criterion",
+    "integrate_ivp", "integrate_q", "sharpness_construct", "RadiusCheck", "RadiusResult",
+    "RotationWitness", "radius_inverse_convexity", "radius_polynomial", "rotation_witness",
+    "verify_radius", "schwarzian", "EquivalenceReport", "RaySolution", "ReconstructedMap",
+    "reconstruct_f_from_y", "solve_ray", "starlike_equivalence_check", "starlike_margin",
+    "InvarianceCheck", "NormEstimate", "invariance_residuals", "pre_schwarzian",
+    "schwarzian_norm", "weighted_modulus", "CHECK_IDS", "CheckItem", "TheoremReport",
+    "dual_transform", "verify_duality", "verify_inclusions", "verify_sufficiency",
+]
+
+_EXPORTS_PROBE = """
+import json, sys
+import gftkit
+
+listed = sorted(gftkit.__all__), sorted(set(dir(gftkit)) & set(gftkit.__all__))
+objects = {name: getattr(gftkit, name) for name in gftkit.__all__}
+defined = {name: getattr(sys.modules[obj.__module__], name) is obj
+           for name, obj in objects.items() if hasattr(obj, "__module__")}
+import gftkit.families, gftkit.theorems
+reexported = [gftkit.Family is gftkit.families.Family,
+              gftkit.B_FAMILIES is gftkit.families.B_FAMILIES,
+              gftkit.CHECK_IDS is gftkit.theorems.CHECK_IDS]
+print(json.dumps([listed, defined, reexported]))
+"""
+
+
+def test_the_package_exports_the_same_names_lazily():
+    listed, defined, reexported = _probe(_EXPORTS_PROBE)
+    assert listed == [sorted(EXPORTED), sorted(EXPORTED)]
+    assert len(defined) == len(EXPORTED) - 2  # all but the frozenset and the tuple
+    assert all(defined.values()) and all(reexported)
+
+
+@pytest.mark.parametrize("first", [
+    "import gftkit.rays", "import gftkit.schwarzian", "from gftkit import schwarzian",
+    "import gftkit.theorems, gftkit.cli",
+])
+def test_gftkit_schwarzian_is_the_function_in_any_import_order(first):
+    probe = (
+        f"{first}\n"
+        "import json, sys, types, gftkit\n"
+        "module = sys.modules['gftkit.schwarzian']\n"
+        "bound = globals().get('schwarzian', module.schwarzian)\n"
+        "print(json.dumps([gftkit.schwarzian is module.schwarzian, bound is module.schwarzian,\n"
+        "                  type(gftkit) is types.ModuleType]))\n"
+    )
+    # and the package is a plain module again once the submodule has loaded
+    assert _probe(probe) == [True, True, True]
+
 
 _SCIPY_PROBE = """
 import contextlib, io, sys

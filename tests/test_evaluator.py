@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gftkit import DiskSampler, compose_mobius, expressions, parse, schwarzian
+from gftkit import DiskSampler, compiler, compose_mobius, parse, schwarzian
 from gftkit.errors import GftError
 from gftkit.expressions import _Add, _Const, _Div, _Fun, _Mul, _Neg, _Pow, _Sub, _Var
 from gftkit.families import GridField
@@ -275,8 +275,8 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
         built.append((root, mode))
         return build(root, mode)
 
-    build = expressions._build_path
-    monkeypatch.setattr(expressions, "_build_path", counting)
+    build = compiler._build_path
+    monkeypatch.setattr(compiler, "_build_path", counting)
     f = parse("z/4 + 1/z", singular_points=(0,))
     field = GridField(f, DiskSampler(rings=16, points_per_ring=128))
     field.verdict("bc", 0.5)

@@ -13,6 +13,8 @@ from gftkit import (
     var_expr,
 )
 from gftkit.errors import DegenerateMobius, EvaluationFailed, ExprSyntaxError
+from gftkit.expressions import FUNCTION_NAMES
+from gftkit.jets import OUTER
 
 RNG = np.random.default_rng(314159)
 
@@ -192,3 +194,7 @@ def test_var_expr_builds_trees():
     # (1/(1+z))' = -1/(1+z)^2, so f = -(1+z)^2/z
     pts = _samples(10)
     assert np.allclose(f.value(pts), -((1 + pts) ** 2) / pts, rtol=1e-13)
+
+
+def test_the_parser_knows_the_functions_the_jets_differentiate():
+    assert FUNCTION_NAMES == set(OUTER)

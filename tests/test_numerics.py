@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
-from gftkit.numerics import golden_polish, is_scalar, ring_taylor
+from gftkit.numerics import golden_polish, ring_taylor
+from gftkit.shared import is_scalar
 
 
 @pytest.mark.parametrize("x", [

@@ -83,7 +83,7 @@ def test_every_private_name_is_used():
 def dead_public_names(modules: dict, others: list) -> list:
     """Public module-level names of ``modules`` (name -> text) that their own
     module never reads and no other text names; ``others`` are the texts of
-    every other file, ``__init__`` with its re-export imports removed."""
+    every other file, ``__init__`` with its re-exports removed."""
     dead = []
     for module, source in modules.items():
         tree = ast.parse(source)
@@ -96,23 +96,30 @@ def dead_public_names(modules: dict, others: list) -> list:
     return sorted(dead)
 
 
-def without_imports(source: str) -> str:
+def is_export_table(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+
+
+def without_reexports(source: str) -> str:
+    """``source`` with its imports and its lazy export table blanked."""
     lines = source.splitlines()
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or is_export_table(node):
             lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
     return "\n".join(lines)
 
 
 def test_the_checker_sees_dead_public_names():
     modules = {"a": "A = 1\nB = 2\nC = 3\ndef f():\n    return C\nclass K:\n    pass\n", "b": "D = 4\n"}
-    others = [without_imports("from a import A, B\nfrom b import (\n    D,\n)\n"), "B + 1\n"]
+    init = 'from a import A\n_EXPORTS = {\n    "a": ("B", "K"),\n}\nfrom b import (\n    D,\n)\n'
+    others = [without_reexports(init), "B + 1\n"]
     assert dead_public_names(modules, others) == [("a", "A"), ("a", "K"), ("a", "f"), ("b", "D")]
 
 
 def test_every_public_name_is_used():
     modules = {p.name: p.read_text() for p in MODULES}
-    others = [without_imports((SRC / "__init__.py").read_text()), (ROOT / "README.md").read_text()]
+    others = [without_reexports((SRC / "__init__.py").read_text()), (ROOT / "README.md").read_text()]
     others += [p.read_text() for d in ("tests", "bench", "demos") for p in (ROOT / d).rglob("*.py")]
     assert dead_public_names(modules, others) == []
 
@@ -121,3 +128,52 @@ def test_no_module_names_scipy():
     # both ODE routes are Taylor steppers; scipy is a test-only oracle
     naming = sorted(p.name for p in SRC.glob("*.py") if "scipy" in p.read_text())
     assert naming == []
+
+
+def module_level_imports(source: str) -> set:
+    """What a module imports when it is imported: absolute module names, with
+    ``from . import x`` read as ``gftkit.x``; function bodies and ``if
+    TYPE_CHECKING:`` blocks do not run then and are skipped."""
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"gftkit.{base}" if base else "gftkit"
+            found.add(base)
+            if not node.module:
+                found.update(f"gftkit.{a.name}" for a in node.names)
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            todo += node.orelse
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt)]
+    return found
+
+
+def test_the_import_reader_skips_what_does_not_run_at_import():
+    src = ("import numpy as np\nfrom .jets import Jet3\nfrom . import errors\n"
+           "if TYPE_CHECKING:\n    import scipy\nelse:\n    import re\n"
+           "try:\n    import json\nexcept ImportError:\n    pass\n"
+           "def f():\n    import math\nclass K:\n    import os\n")
+    assert module_level_imports(src) == {"numpy", "gftkit.jets", "gftkit", "gftkit.errors",
+                                         "re", "json"}
+
+
+def test_the_light_modules_import_no_numpy():
+    # the command line answers listings and bad input from these modules alone
+    imports = {f"gftkit.{p.stem}": module_level_imports(p.read_text())
+               for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    imports["gftkit"] = module_level_imports((SRC / "__init__.py").read_text())
+    heavy = {"numpy"}
+    while True:  # every gftkit module that imports numpy, directly or not
+        more = {m for m, deps in imports.items() if deps & heavy} - heavy
+        if not more:
+            break
+        heavy |= more
+    light = ["gftkit", "gftkit.cli", "gftkit.catalog", "gftkit.errors", "gftkit.expressions",
+             "gftkit.shared"]
+    assert {m: sorted(imports[m] & heavy) for m in light} == {m: [] for m in light}
+    assert "gftkit.compiler" in heavy  # the check reaches numpy through gftkit's own modules
