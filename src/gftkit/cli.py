@@ -47,7 +47,7 @@ def _parse_complex(text: str) -> complex:
 def _add_common(p, handler, *modules):
     """``modules``: what ``handler`` runs, for ``main`` to import before the
     clock; gftkit's modules relative (".palpha"), and numpy's lazily loaded
-    submodules that the numerics reach (np.unique loads numpy.ma)."""
+    submodules that the numerics reach."""
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for quasi-random sampling")
     p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
@@ -109,7 +109,6 @@ def _read_inputs(args):
         args.point = _parse_complex(args.z)
     if args.command == "palpha" or getattr(args, "check", None) == "sufficiency":
         args.q_source = _read_q(args)
-        args.modules += ("numpy.ma",)  # the positivity-class ODE's np.unique loads it
     if getattr(args, "check", None) == "inclusions":
         args.alpha_list = _parse_alphas(args.alphas)
     if any(isinstance(v, FunctionExpr) for v in vars(args).values()):
@@ -351,7 +350,7 @@ def _cmd_factor_check(args):
     return _Report(
         lines,
         {"expr": text, "alpha": args.alpha, "rays": args.rays, "rmax": args.rmax,
-         "seed": args.seed},
+         "seed": args.seed, "rings": args.rings, "points": args.points, "exclude": args.exclude},
         rep.agree, rep.v_margin, (wz, rep.v_margin),
         tolerances={"tol": tol, "wronskian": _WRONSKIAN_TOL},
     )
@@ -362,12 +361,17 @@ def _cmd_theorem(args):
 
     f, text = args.f, args.text
     sampler = _sampler(args)
+    inputs = {"check": args.check, "expr": text, "alpha": args.alpha, "seed": args.seed,
+              "rmax": args.rmax, "rings": args.rings, "points": args.points,
+              "exclude": args.exclude}
     if args.check == "sufficiency":
-        rep = verify_sufficiency(f, _q_function(args.q_source), args.alpha, sampler=sampler,
-                                 tol=args.tol)
+        q = _q_function(args.q_source)
+        inputs["q"] = q.label
+        rep = verify_sufficiency(f, q, args.alpha, sampler=sampler, tol=args.tol)
     elif args.check == "duality":
         rep = verify_duality(f, args.alpha, sampler=sampler, tol=args.tol)
     else:
+        inputs["alphas"] = args.alpha_list
         rep = verify_inclusions(f, args.alpha_list, sampler=sampler, tol=args.tol)
     lines = [f"check: {rep.check_id}", f"subject: {rep.subject}"]
     lines += [
@@ -377,10 +381,7 @@ def _cmd_theorem(args):
     ]
     lines.append(f"consistent: {rep.consistent}")
     worst = float(min(it.margin for it in rep.items))
-    return _Report(
-        lines, {"check": args.check, "expr": text, "alpha": args.alpha, "seed": args.seed},
-        rep.consistent, worst, (0.0, worst),
-    )
+    return _Report(lines, inputs, rep.consistent, worst, (0.0, worst))
 
 
 def _cmd_sharpness(args):
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--rays", type=int, default=64)
     _add_sampler(p)
-    _add_common(p, _cmd_factor_check, ".rays", "numpy.fft", "numpy.ma")
+    _add_common(p, _cmd_factor_check, ".rays", "numpy.fft")
 
     p = sub.add_parser("theorem", help="structural consistency checks")
     p.add_argument("--check", required=True, choices=CHECK_IDS)
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eps-end", type=float, default=1e-6)
-    _add_common(p, _cmd_sharpness, ".palpha", ".compiler", "numpy.ma")
+    _add_common(p, _cmd_sharpness, ".palpha", ".compiler")
 
     p = sub.add_parser("catalog", help="list the built-in reference maps")
     _add_common(p, _cmd_catalog)

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivisionAtZero,
-    EvaluationFailed,
-    LocallyNonUnivalent,
-    UnivalenceNotChecked,
-)
+from .errors import DivisionAtZero, LocallyNonUnivalent, UnivalenceNotChecked
 from .expressions import FunctionExpr
 from .jets import Jet3, near_zero
 from .numerics import (
@@ -106,23 +101,28 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _functional(family: Family, z, jet: Jet3):
-    """The family formula from a jet of f at z; NaN where it is undefined."""
-    v0, v1, v2 = jet.v0, jet.v1, jet.v2
+# The families that read Re(1 + z f''/f'), and those that read Re(z f'/f).
+_CONVEX = frozenset({Family.C, Family.BC, Family.BCI})
+_STARLIKE = frozenset({Family.SSTAR, Family.BSSTAR, Family.BCI})
+# each family's functional from a = Re(1 + z f''/f') and b = Re(z f'/f);
+# bci's is Re(1 + z f''/f' - 2 z f'/f) bit for bit: scaling by 2 is exact
+_FORMULAS = {
+    Family.C: lambda a, b: a,
+    Family.SSTAR: lambda a, b: b,
+    Family.BC: lambda a, b: -a,
+    Family.BSSTAR: lambda a, b: -b,
+    Family.BCI: lambda a, b: a - 2.0 * b,
+}
+
+
+def _functionals(families, z, jet: Jet3) -> dict:
+    """{family: its functional} for each of ``families``, from a jet of f at
+    z; NaN where it is undefined.  Each complex quotient is formed once per
+    point, and only if one of the families reads it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is Family.C:
-            val = np.real(1.0 + z * v2 / v1)
-        elif family is Family.SSTAR:
-            val = np.real(z * v1 / v0)
-        elif family is Family.BC:
-            val = -np.real(1.0 + z * v2 / v1)
-        elif family is Family.BSSTAR:
-            val = -np.real(z * v1 / v0)
-        else:
-            val = np.real(1.0 + z * v2 / v1 - 2.0 * z * v1 / v0)
-        if family in B_FAMILIES and not is_scalar(z):
-            val = np.where(np.asarray(z) == 0, 1.0, val)
-    return val
+        a = 1.0 + np.real(z * jet.v2 / jet.v1) if not _CONVEX.isdisjoint(families) else None
+        b = np.real(z * jet.v1 / jet.v0) if not _STARLIKE.isdisjoint(families) else None
+        return {fam: _FORMULAS[fam](a, b) for fam in families}
 
 
 def functional_value(f: FunctionExpr, family: Family, z):
@@ -137,19 +137,14 @@ def functional_value(f: FunctionExpr, family: Family, z):
     if scalar and complex(z) == 0 and family in B_FAMILIES:
         return 1.0
     jet = f.jet(z)
-    if scalar and family in (Family.C, Family.BC, Family.BCI) and near_zero(jet.v1):
+    if scalar and family in _CONVEX and near_zero(jet.v1):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if scalar and family in (Family.SSTAR, Family.BSSTAR, Family.BCI) and near_zero(jet.v0):
+    if scalar and family in _STARLIKE and near_zero(jet.v0):
         raise DivisionAtZero(f"f({z}) = 0 to tolerance")
-    val = _functional(family, z, jet)
-    return float(val) if scalar else val
-
-
-# The families that read Re(1 + z f''/f'), and those that read Re(z f'/f).
-_CONVEX = frozenset({Family.C, Family.BC, Family.BCI})
-_STARLIKE = frozenset({Family.SSTAR, Family.BSSTAR, Family.BCI})
-# bc and bsstar are minus c and sstar: their minimum is minus the others' maximum
-_NEGATED = frozenset({Family.BC, Family.BSSTAR})
+    val = _functionals((family,), z, jet)[family]
+    if scalar:
+        return float(val)
+    return np.where(np.asarray(z) == 0, 1.0, val) if family in B_FAMILIES else val
 
 
 class GridField:
@@ -168,33 +163,19 @@ class GridField:
                  families=tuple(Family), each_block=None):
         self.f = f
         self.sampler = sampler or DiskSampler()
-        self._minima = {fam: Extremum(largest=fam in _NEGATED) for fam in map(Family, families)}
-        convex = not _CONVEX.isdisjoint(self._minima)
-        starlike = not _STARLIKE.isdisjoint(self._minima)
+        self._minima = {fam: Extremum() for fam in map(Family, families)}
         for z in self.sampler._blocks(f.singular_points, f.exclusion_radius):
             jet = f.jet(z)
             if each_block is not None:
                 each_block(z, jet)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                # each quotient is one complex division per point: only on demand
-                a = 1.0 + np.real(z * jet.v2 / jet.v1) if convex else None
-                b = np.real(z * jet.v1 / jet.v0) if starlike else None
-                # Re(1 + z v2/v1 - 2 z v1/v0) bit for bit: scaling by 2 is exact
-                bci = a - 2.0 * b if Family.BCI in self._minima else None
-                for fam, extremum in self._minima.items():
-                    extremum.add(bci if fam is Family.BCI else a if fam in _CONVEX else b, z)
+            for fam, vals in _functionals(self._minima, z, jet).items():
+                self._minima[fam].add(vals, z)
 
-    def _minimum(self, family: Family):
-        """(grid minimum, its witness, finite samples, skipped samples); the
-        minimum is None when no grid point is finite."""
+    def _extremum(self, family: Family) -> Extremum:
         extremum = self._minima.get(family)
         if extremum is None:
             raise ValueError(f"family {family.value} was not evaluated on this grid")
-        extremum.require("grid points")
-        vmin = extremum.value
-        if vmin is not None and family in _NEGATED:
-            vmin = -vmin
-        return vmin, extremum.point, extremum.finite, extremum.total - extremum.finite
+        return extremum
 
     def verdict(self, family: Family, alpha: float, tol: float = 1e-6) -> FamilyVerdict:
         """Sampled verdict on this grid; see ``membership``."""
@@ -207,14 +188,14 @@ class GridField:
                 UnivalenceNotChecked,
                 stacklevel=2,
             )
-        vmin, witness, evaluated, skipped = self._minimum(family)
+        extremum = self._extremum(family)
+        vmin, witness = extremum.best("grid points")
+        evaluated = extremum.finite
         if family in B_FAMILIES:
             # removable limit at the origin pole, counted last: a tie keeps the grid point
             evaluated += 1
-            if vmin is None or 1.0 < vmin:
+            if 1.0 < vmin:
                 vmin, witness = 1.0, 0.0 + 0.0j
-        elif vmin is None:
-            raise EvaluationFailed("no grid point evaluated to a finite functional value")
         vmin = float(vmin)
         margin = vmin - alpha
         return FamilyVerdict(
@@ -226,7 +207,7 @@ class GridField:
             witness_value=vmin,
             order_estimate=float(np.clip(vmin, 0.0, 1.0)),
             samples_evaluated=evaluated,
-            samples_skipped=skipped,
+            samples_skipped=extremum.total - extremum.finite,
             tol=tol,
         )
 
@@ -234,9 +215,7 @@ class GridField:
         """Polished order estimate on this grid; see ``order_estimate``."""
         family = Family(family)
         f, sampler = self.f, self.sampler
-        vmin, z0, _, _ = self._minimum(family)
-        if vmin is None:
-            raise EvaluationFailed("no grid point evaluated to a finite functional value")
+        vmin, z0 = self._extremum(family).best("grid points")
         r_lo = max(sampler.exclusion_radius, f.exclusion_radius)
         # the domain ends stand in for the missing neighbours of the end rings
         radii = np.concatenate(([r_lo], sampler.radii(), [sampler.r_max]))

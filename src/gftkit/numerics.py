@@ -1,8 +1,9 @@
 """Small numerical kernels: bracketed root finding,
 golden-section search and the grid-minimum polish, Richardson extrapolation,
 Taylor coefficients from a ring of samples, quasi-random disk points, polar
-grids streamed in blocks of whole rings, a running grid extremum, the 1%
-non-finite rule."""
+grids streamed in blocks of whole rings, the one reduction of a sampled
+quantity (``Extremum``, home of the 1% non-finite rule), sorted distinct
+values."""
 
 from __future__ import annotations
 
@@ -40,18 +41,11 @@ def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> 
     return 0.5 * (a + b)
 
 
-def check_failures(bad: int, total: int, what: str) -> None:
-    """The 1% rule: more than 1% non-finite samples out of ``total`` make the
-    sample set unusable and raise EvaluationFailed."""
-    if bad > 0.01 * total:
-        raise EvaluationFailed(f"{bad} of {total} {what} failed to evaluate (> 1%)")
-
-
-def finite_samples(vals, what: str) -> np.ndarray:
-    """Mask of the finite entries of ``vals``, after the 1% rule."""
-    finite = np.isfinite(vals)
-    check_failures(int(finite.size - np.count_nonzero(finite)), finite.size, what)
-    return finite
+def unique_sorted(*arrays) -> np.ndarray:
+    """The distinct values of ``arrays``, sorted: ``np.unique`` of their
+    concatenation, without the masked-array module that ``np.unique`` loads."""
+    v = np.sort(np.concatenate(arrays))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 # Points per block of a streamed grid.  A block's jet and functional
@@ -94,13 +88,13 @@ def ring_blocks(radii, phases, centers, radius: float):
 
 
 class Extremum:
-    """First-occurrence minimum (or, with ``largest``, maximum) of values
-    streamed in blocks, with its point, skipping non-finite values and
-    counting them.  Across blocks only a strictly better value replaces the
-    best, so the point is the one ``np.argmin`` of the whole grid picks."""
+    """First-occurrence minimum of values streamed in blocks, with its point,
+    skipping non-finite values and counting them.  Across blocks only a
+    strictly smaller value replaces the best, so the point is the one
+    ``np.argmin`` of all the values picks.  A maximum is the minimum of the
+    negated values: negation is exact and keeps the first occurrence."""
 
-    def __init__(self, largest: bool = False):
-        self.largest = largest
+    def __init__(self):
         self.value = self.point = None  # numpy scalars, as the grid holds them
         self.finite = self.total = 0
 
@@ -112,13 +106,20 @@ class Extremum:
         self.finite += vals.size
         if not vals.size:
             return
-        i = int(np.argmax(vals) if self.largest else np.argmin(vals))
-        if self.value is None or (vals[i] > self.value if self.largest else vals[i] < self.value):
+        i = int(np.argmin(vals))
+        if self.value is None or vals[i] < self.value:
             self.value, self.point = vals[i], points[i]
 
-    def require(self, what: str) -> None:
-        """The 1% rule over every value added."""
-        check_failures(self.total - self.finite, self.total, what)
+    def best(self, what: str):
+        """(minimum, its point), after the 1% rule: more than 1% non-finite
+        values make the sample set unusable.  EvaluationFailed then, and
+        where no value was finite."""
+        bad = self.total - self.finite
+        if bad > 0.01 * self.total:
+            raise EvaluationFailed(f"{bad} of {self.total} {what} failed to evaluate (> 1%)")
+        if self.value is None:
+            raise EvaluationFailed(f"no {what} evaluated to a finite value")
+        return self.value, self.point
 
 
 def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):

@@ -37,7 +37,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .expressions import FunctionExpr, parse
-from .numerics import bisect, richardson
+from .numerics import bisect, richardson, unique_sorted
 from .shared import is_scalar
 
 _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
@@ -155,9 +155,8 @@ class QFunction:
             c[0] = _screened(c[0], x0)
             spent = 1
         except (BranchPointOrPole, DivisionAtZero):
-            t = h * _CHEB
-            fit = np.polynomial.Chebyshev.fit(t, self(x0 + t), t.size - 1, domain=[0.0, h])
-            c, spent = fit.convert(kind=np.polynomial.Polynomial).coef, t.size
+            c = np.linalg.solve(np.vander(_CHEB, increasing=True), self(x0 + h * _CHEB))
+            c, spent = c / h ** np.arange(_CHEB.size), _CHEB.size
         nz = np.flatnonzero(c)
         return c[: nz[-1] + 1 if nz.size else 1], spent
 
@@ -308,7 +307,7 @@ def _reporting_nodes(eps_end: float) -> np.ndarray:
     the right end."""
     base = np.linspace(0.0, 1.0 - eps_end, 385)
     tail = 1.0 - np.geomspace(0.5, eps_end, 161)
-    return np.unique(np.concatenate([base, tail]))
+    return unique_sorted(base, tail)
 
 
 def _dense(starts, polys):

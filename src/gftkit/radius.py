@@ -19,7 +19,7 @@ import numpy as np
 
 from .expressions import FunctionExpr
 from .families import DiskSampler, Family, FamilyVerdict, functional_value, membership
-from .numerics import bisect, finite_samples
+from .numerics import Extremum, bisect
 
 
 def radius_polynomial(alpha: float, x):
@@ -105,8 +105,7 @@ def rotation_witness(
     """
     taus = 2.0 * np.pi * np.arange(int(n_rotations)) / int(n_rotations)
     ring = float(radius) * np.exp(1j * taus)
-    vals = functional_value(g, Family.BCI, ring)
-    finite = finite_samples(vals, "ring points")
-    i = int(np.argmin(np.where(finite, vals, np.inf)))
-    value = float(vals[i])
-    return RotationWitness(tau=float(taus[i]), value=value, violates=bool(value < alpha - tol))
+    least = Extremum()
+    least.add(functional_value(g, Family.BCI, ring), taus)
+    value, tau = least.best("ring points")
+    return RotationWitness(tau=float(tau), value=float(value), violates=bool(value < alpha - tol))

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import GftError, NonAnalyticSample, StepSizeUnderflow
 from .expressions import FunctionExpr
 from .families import DiskSampler, Family, membership
-from .numerics import ring_taylor
+from .numerics import ring_taylor, unique_sorted
 from .schwarzian import schwarzian
 
 from . import palpha as _palpha
@@ -145,9 +145,7 @@ def _solve_rays(
     minus_phase2 = -phase * phase
     eps = rel_tol / _ORDER  # w_t carries ~_ORDER times w's truncation error
     first = min(_FIRST_NODE, r_max / 8.0)
-    nodes = np.unique(
-        np.concatenate([np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES)])
-    )
+    nodes = unique_sorted(np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES))
     # (w, w_t) x (v, u) x ray at the step start; (w, w_t) x radius x (v, u) x ray
     start = np.zeros((2, 2, n), dtype=complex)
     start[1, 0], start[0, 1] = phase, 1.0

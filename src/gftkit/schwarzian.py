@@ -93,22 +93,21 @@ def schwarzian_norm(
     r_lo, r_hi = 1e-4, 1.0 - 1e-4
     radii = np.linspace(r_lo, r_hi, rings)
     angles = 2.0 * np.pi * np.arange(points_per_ring) / points_per_ring
-    best = Extremum(largest=True)
+    # the maximum is the minimum of the negated values, which the polish minimises too
+    least = Extremum()
     for z in ring_blocks(radii, np.exp(1j * angles), f.singular_points, f.exclusion_radius):
-        best.add(weighted_modulus(f, z), z)
-    best.require("norm grid points")
-    if best.value is None:
-        raise EvaluationFailed("no norm grid point evaluated to a finite value")
+        least.add(-weighted_modulus(f, z), z)
+    neg, z0 = least.best("norm grid points")
     neg, argmax = golden_polish(
-        lambda w: -weighted_modulus(f, complex(w)), best.point, -float(best.value),
+        lambda w: -weighted_modulus(f, complex(w)), z0, float(neg),
         dr=(r_hi - r_lo) / (rings - 1), dth=2.0 * np.pi / points_per_ring,
         r_lo=r_lo, r_hi=r_hi, rounds=refine_iters,
     )
     return NormEstimate(
         lower_bound=-neg,
         argmax=argmax,
-        evaluated=best.finite,
-        skipped=best.total - best.finite,
+        evaluated=least.finite,
+        skipped=least.total - least.finite,
     )
 
 

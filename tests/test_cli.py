@@ -341,6 +341,53 @@ def test_reports_are_deterministic_up_to_wall_time(capsys):
     assert first == second
 
 
+# each subcommand's arguments, and those its handler reads besides --json and
+# --tol (which goes to "tolerances"): changing any of them must change "inputs"
+INPUT_CALLS = {
+    "theorem sufficiency": (
+        ["theorem", "--check", "sufficiency"], {"--catalog": "mobius_pole", "--q-const": "0.5"},
+        ["--expr", "--alpha", "--q", "--q-const"]),
+    "theorem duality": (
+        ["theorem", "--check", "duality"], {"--catalog": "mobius_pole"},
+        ["--expr", "--alpha"]),
+    "theorem inclusions": (
+        ["theorem", "--check", "inclusions"], {"--catalog": "mobius_pole"},
+        ["--expr", "--alphas"]),
+    "factor-check": (
+        ["factor-check"], {"--catalog": "mobius_pole", "--rays": "4"},
+        ["--expr", "--alpha", "--rays"]),
+}
+_SAMPLER_ARGS = ["--catalog", "--rmax", "--rings", "--points", "--exclude", "--seed"]
+_CHANGED = {"--expr": "1/z + 0.5 + z/8", "--catalog": "quarter_pole", "--alpha": "0.3",
+            "--q": "2*(1-x)", "--q-const": "2", "--alphas": "0.1,0.2", "--rmax": "0.99",
+            "--rings": "10", "--points": "48", "--exclude": "0.002", "--rays": "6", "--seed": "3"}
+_EITHER = {"--expr": "--catalog", "--catalog": "--expr", "--q": "--q-const", "--q-const": "--q"}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CALLS))
+def test_json_inputs_name_every_argument_the_verdict_reads(capsys, name):
+    command, base, read = INPUT_CALLS[name]
+    base = {**base, "--rings": "12", "--points": "64"}
+
+    def inputs(args):
+        return run_json(capsys, command + [x for kv in args.items() for x in kv])[1]["inputs"]
+
+    before = inputs(base)
+    for arg in read + _SAMPLER_ARGS:
+        changed = {k: v for k, v in base.items() if k != _EITHER.get(arg)}
+        changed[arg] = _CHANGED[arg]
+        assert inputs(changed) != before, arg
+
+
+def test_theorem_inputs_name_the_coefficient_and_the_orders(capsys):
+    _, report = run_json(capsys, ["theorem", "--check", "sufficiency", "--catalog",
+                                  "mobius_pole", "--q", "2*(1-x)"] + FAST)
+    assert report["inputs"]["q"] == "2*(1-x)"
+    _, report = run_json(capsys, ["theorem", "--check", "inclusions", "--catalog",
+                                  "mobius_pole", "--alphas", "0.4,0.1"] + FAST)
+    assert report["inputs"]["alphas"] == [0.4, 0.1]
+
+
 def test_parser_registers_every_subcommand():
     parser = build_parser()
     actions = [a for a in parser._actions if a.dest == "command"]
@@ -442,6 +489,7 @@ CLOCKED_CALLS = {
     "norm": ["norm", "--catalog", "koebe", "--rings", "8", "--points", "64", "--refine", "1"],
     "palpha --q": ["palpha", "--q", "2*(1-x)", "--alpha", "0.5"],
     "palpha --q-const": ["palpha", "--q-const", "1", "--alpha", "0.5"],
+    "palpha, branch point": ["palpha", "--q", "3*x^0.5", "--alpha", "0.1"],
     "const-q": ["const-q", "--target", "0.5"],
     "radius": ["radius", "--alpha", "0.3"],
     "radius --check-catalog": ["radius", "--alpha", "0.3", "--check-catalog", "koebe_reciprocal"],
@@ -449,6 +497,8 @@ CLOCKED_CALLS = {
     "theorem duality": ["theorem", "--check", "duality", "--catalog", "inverse_log"] + FAST,
     "theorem sufficiency": ["theorem", "--check", "sufficiency", "--catalog", "mobius_pole",
                             "--q-const", "0"] + FAST,
+    "theorem sufficiency, branch point": ["theorem", "--check", "sufficiency", "--catalog",
+                                          "mobius_pole", "--q", "x^0.5"] + FAST,
     "theorem inclusions": ["theorem", "--check", "inclusions", "--catalog", "mobius_pole"] + FAST,
     "sharpness": ["sharpness", "--n", "3", "--beta", "0.5"],
     "catalog": ["catalog", "--json"],
@@ -459,6 +509,24 @@ def test_no_module_is_imported_while_the_clock_runs():
     # wall_time_ms times the work: each subcommand's imports come before it
     loaded = {name: _probe(_CLOCK_PROBE, *argv) for name, argv in CLOCKED_CALLS.items()}
     assert loaded == {name: [] for name in CLOCKED_CALLS}
+
+
+_HEAVY_PROBE = """
+import contextlib, io, json, sys
+from gftkit.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("name", ["palpha --q", "palpha --q-const", "palpha, branch point",
+                                  "factor-check", "sharpness", "theorem sufficiency",
+                                  "theorem sufficiency, branch point"])
+def test_no_run_loads_numpy_ma_or_numpy_polynomial(name):
+    # each costs 10-15 ms of start-up, and no gftkit numerics need either
+    assert _probe(_HEAVY_PROBE, *CLOCKED_CALLS[name]) == []
 
 
 EXPORTED = [

@@ -135,6 +135,22 @@ def test_sampler_validation():
 # -- membership verdicts -------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+def test_grid_and_pointwise_functionals_share_one_formula():
+    # a grid witness re-evaluated on a one-point array gives its value bit for bit
+    # (the scalar path evaluates the jet differently and may differ in the last bits)
+    checked = 0
+    for entry in catalog.entries():
+        for fam in Family:
+            v = membership(entry.expr, fam, 0.0)
+            if v.witness == 0:  # the pole-normalized families' limit at the origin
+                continue
+            value = functional_value(entry.expr, fam, np.array([v.witness]))[0]
+            assert value == v.witness_value, (entry.name, fam.value)
+            checked += 1
+    assert checked >= 50
+
+
 def test_koebe_is_not_convex_witness_on_negative_axis():
     v = membership(get_entry("koebe").expr, Family.C, 0.0)
     assert not v.holds_on_samples
@@ -171,6 +187,17 @@ def test_order_estimate_applies_the_one_percent_rule():
         membership(f, Family.SSTAR, 0.0)
     with pytest.raises(EvaluationFailed, match="12396 of 32768 grid points"):
         order_estimate(f, Family.SSTAR)
+
+
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+@pytest.mark.parametrize("family", list(Family))
+def test_a_grid_without_points_gives_no_verdict(family):
+    # the map's exclusion ball about the origin covers the whole grid: the
+    # origin's limit alone is no sampled verdict for the pole-normalized families
+    f = parse("1/z + z/4", singular_points=(0,), exclusion_radius=0.9995)
+    for answer in (lambda: membership(f, family, 0.2), lambda: order_estimate(f, family)):
+        with pytest.raises(EvaluationFailed, match="no grid points evaluated to a finite value"):
+            answer()
 
 
 def test_inverse_convex_verdict_warns_univalence_unchecked():

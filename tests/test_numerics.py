@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
-from gftkit.numerics import golden_polish, ring_taylor
+from gftkit.numerics import Extremum, golden_polish, ring_taylor, unique_sorted
+from gftkit.palpha import _reporting_nodes
+from gftkit.rays import _FIRST_NODE, _N_NODES, solve_ray
 from gftkit.shared import is_scalar
 
 
@@ -15,6 +17,73 @@ from gftkit.shared import is_scalar
 ], ids=repr)
 def test_is_scalar_agrees_with_ndim(x):
     assert is_scalar(x) == (np.ndim(x) == 0)
+
+
+# -- the one reduction of a sampled quantity ---------------------------------------
+
+
+def test_extremum_keeps_the_first_minimum_across_blocks():
+    vals = np.array([3.0, 1.0, np.nan, 2.0, 1.0, np.inf, 1.0, -np.inf, 5.0])
+    points = np.arange(vals.size) * 1j
+    least = Extremum()
+    for lo, hi in ((0, 3), (3, 5), (5, 9)):
+        least.add(vals[lo:hi], points[lo:hi])
+    assert (least.value, least.point) == (1.0, 1j)  # the first 1.0 of three, in block one
+    assert (least.finite, least.total) == (6, 9)  # NaN and both infinities are counted
+    # the same point as np.argmin picks over all finite values at once
+    assert points[int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))] == least.point
+
+
+def test_extremum_maximum_is_the_minimum_of_the_negated_values():
+    vals = np.array([0.5, 2.0, -1.0, 2.0])
+    least = Extremum()
+    least.add(-vals, np.arange(4.0))
+    value, point = least.best("values")
+    assert (-value, point) == (np.max(vals), float(np.argmax(vals)))
+
+
+@pytest.mark.parametrize("bad, total, fails", [(1, 100, False), (1, 99, True), (2, 150, True),
+                                               (0, 1, False)])
+def test_extremum_enforces_the_one_percent_rule(bad, total, fails):
+    vals = np.ones(total)
+    vals[:bad] = np.nan
+    least = Extremum()
+    least.add(vals, np.arange(total))
+    if fails:
+        with pytest.raises(EvaluationFailed, match=rf"{bad} of {total} values failed .*> 1%"):
+            least.best("values")
+    else:
+        assert least.best("values") == (1.0, bad)
+
+
+def test_extremum_without_a_finite_value_raises():
+    least = Extremum()
+    with pytest.raises(EvaluationFailed, match="no values evaluated to a finite value"):
+        least.best("values")
+    least.add(np.array([]), np.array([]))
+    with pytest.raises(EvaluationFailed, match="no values evaluated"):
+        least.best("values")
+
+
+def test_unique_sorted_keeps_one_of_equal_values_as_np_unique_does():
+    arrays = np.array([2.0, -0.0, 1.0, 0.0, 2.0]), np.array([1.0, -1.0])
+    want = np.unique(np.concatenate(arrays))
+    assert unique_sorted(*arrays).tobytes() == want.tobytes()
+
+
+def test_palpha_reporting_nodes_are_np_unique_of_their_parts():
+    for eps in (2.0**-21, 1e-6, 1e-3):
+        nodes = _reporting_nodes(eps)
+        parts = np.linspace(0.0, 1.0 - eps, 385), 1.0 - np.geomspace(0.5, eps, 161)
+        assert nodes.tobytes() == np.unique(np.concatenate(parts)).tobytes()
+
+
+@pytest.mark.parametrize("r_max", [0.999, 0.5])
+def test_ray_reporting_radii_are_np_unique_of_their_parts(r_max):
+    radii = solve_ray(lambda z: 0.0, 0.3, r_max=r_max).rho[1:]
+    first = min(_FIRST_NODE, r_max / 8.0)
+    parts = np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES)
+    assert radii.tobytes() == np.unique(np.concatenate(parts)).tobytes()
 
 
 # -- golden polish of a grid minimum -----------------------------------------------

@@ -23,6 +23,7 @@ from gftkit import (
 from gftkit.errors import EvaluationFailed
 from gftkit.expressions import parse
 from gftkit.families import DiskSampler
+from gftkit.schwarzian import schwarzian
 from gftkit.theorems import CHECK_IDS
 
 pytestmark = pytest.mark.filterwarnings(
@@ -86,6 +87,19 @@ def test_sufficiency_refuses_degenerate_maps():
         verify_sufficiency(
             parse("2 + 0*z"), QFunction.constant(0.0), 0.5, sampler=SAMPLER
         )
+
+
+@pytest.mark.parametrize("q", [QFunction.constant(1.5),
+                               QFunction.from_expression(parse("2*(1-x)+3*x^4", variable="x"))],
+                         ids=["1.5", "2*(1-x)+3*x^4"])
+def test_dominance_reports_a_witness_that_reproduces_its_maximum(q):
+    sampler = DiskSampler(rings=64, points_per_ring=512)
+    for entry in catalog.entries():
+        item = verify_sufficiency(entry.expr, q, 0.2, sampler=sampler).item(
+            "schwarzian_dominated")
+        z = np.array([complex(item.detail.split(" at ")[1].split(" over ")[0])])
+        s = schwarzian(entry.expr, z)
+        assert np.abs(s[0]) - 2.0 * q(np.abs(z))[0] == -item.margin, entry.name
 
 
 def test_report_item_lookup():
