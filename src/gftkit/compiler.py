@@ -16,6 +16,7 @@ from . import jets
 from .errors import GftError
 from .expressions import _Add, _Bin, _Const, _Div, _Fun, _Mul, _Neg, _Pow, _Sub, _Var
 from .jets import Jet3
+from .numerics import _RING_BLOCK_POINTS
 
 
 # -- the built evaluators ------------------------------------------------------
@@ -24,8 +25,10 @@ from .jets import Jet3
 # (FunctionExpr.scalar_jet, array_jet, series), by one compiler, _build, in
 # the matching mode.  Each node becomes a closure from a seed to the node's
 # entries.  In the two jet modes the seed is z and the entries are a plain
-# 4-tuple (v0, v1, v2, v3), compiled by jets.rule and jets.linear_rule for the
-# kinds of its children's entries.  In series mode the seed is the variable's
+# 4-tuple (v0, v1, v2, v3), which the node computes by calling the rule of
+# its operation on its children's tuples: jets.rule and jets.linear_rule
+# compile each pruned rule once, for the kinds of the children's entries, to
+# one expression over those tuples.  In series mode the seed is the variable's
 # series (x0, 1, 0, ...) about a real point x0 and the entries are complex
 # Taylor coefficients through the seed's order, from jets' truncated-series
 # recurrences.  Constant subtrees are folded once, at build time and for
@@ -156,8 +159,7 @@ def _product_op(kinds, mode):
         if kinds[1][1] == jets.ZERO:
             return (lambda A, B: A * B[0]), _FULL
         return jets.series_product, _FULL
-    r, out = jets.rule("product", kinds[0] + kinds[1])
-    return (lambda A, B: r(A + B)), out
+    return jets.rule("product", kinds[0] + kinds[1])
 
 
 _SERIES_LINEAR = {"+": np.add, "-": np.subtract, "neg": np.negative}
@@ -167,10 +169,7 @@ def _linear_op(op):
     def compile_op(kinds, mode):
         if mode == _SERIES:
             return _SERIES_LINEAR[op], _FULL
-        r, out = jets.linear_rule(op, sum(kinds, ()))
-        if len(kinds) == 2:
-            return (lambda A, B: r(A + B)), out
-        return r, out
+        return jets.linear_rule(op, sum(kinds, ()))
 
     return compile_op
 
@@ -193,7 +192,7 @@ def _outer_op(outer, series, guarded, branched=False):
 
         def f(A):
             g, mask = g_of(A[0])
-            V = r(g + A)
+            V = r(g, A)
             return V if mask is None else jets.masked(V, mask)
 
         return f, out
@@ -223,9 +222,9 @@ def _int_pow_op(n):
             result, b = one, A
             for to_result, r in steps:
                 if to_result:
-                    result = r(result + b)
+                    result = r(result, b)
                 else:
-                    b = r(b + b)
+                    b = r(b, b)
             return result
 
         return f, res
@@ -309,9 +308,19 @@ def _build_path(root, mode):
     def jet(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):  # arrays NaN-mask overflow and singular hits
-            out = fn(z)
-        # entries that do not vary with z are scalars or 1-element arrays until here
-        return Jet3(*(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
-                      for v in out))
+            if z.size <= _RING_BLOCK_POINTS:
+                out = fn(z)
+                # entries that do not vary with z are scalars or 1-element arrays until here
+                return Jet3(*(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
+                              for v in out))
+            # numpy reorders complex products on temporaries of 16 384 points or
+            # more, which moves last bits: a longer array runs in blocks, so a
+            # point's jet does not depend on the length of its array
+            flat, out = z.reshape(-1), [np.empty(z.size, dtype=complex) for _ in range(4)]
+            for i in range(0, z.size, _RING_BLOCK_POINTS):
+                block = slice(i, i + _RING_BLOCK_POINTS)
+                for whole, v in zip(out, fn(flat[block])):
+                    whole[block] = v
+        return Jet3(*(v.reshape(z.shape) for v in out))
 
     return jet

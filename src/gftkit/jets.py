@@ -12,8 +12,10 @@ skip isolated bad points and count them.
 
 Jet3 arithmetic is the reference.  Maps parsed by ``expressions`` evaluate
 through an evaluator built once per map from the same outer-derivative
-helpers and from ``rule`` / ``linear_rule`` below, which compile the
-product and chain rules without the products a structural 0 or 1 makes.
+helpers and from ``rule`` / ``linear_rule`` below, which compile each
+product, chain and linear rule once, for the kinds of its inputs, to one
+expression over the input tuples without the products a structural 0 or 1
+makes.
 The same evaluator's series mode uses the truncated Taylor series
 recurrences at the end of this module, to any order.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -334,7 +335,7 @@ BRANCHED = frozenset({"log", "sqrt"})
 
 # -- rules for built evaluators --------------------------------------------
 #
-# ``expressions`` builds one evaluator per map that works on plain 4-tuples
+# ``compiler`` builds evaluators per map that work on plain 4-tuples
 # (v0, v1, v2, v3).  At build time every tuple entry has a kind:
 #
 # * ONE or ZERO marks a derivative entry that is exactly 1 or 0 at every
@@ -347,14 +348,22 @@ BRANCHED = frozenset({"log", "sqrt"})
 # * NONFINITE marks an entry that is inf or NaN because a constant is (a
 #   literal 1e309, exp(800)): 0 * inf is NaN, so a term with one is kept.
 #
-# Pruning keeps every remaining term and factor in the order the Jet3
-# methods evaluate them, so the results equal the unpruned rules under ==.
+# Each pruned rule is compiled once, for the kinds of its inputs, to one
+# expression over the input tuples A and B: the product z * z, both inputs
+# of kinds (VALUE, ONE, ZERO, ZERO), becomes
+# ``lambda A, B: (A[0] * B[0], B[0] + A[0], 2.0, 0.0)``.  It keeps every
+# remaining term and factor in the order the Jet3 methods evaluate them (a
+# coefficient first, products and sums left to right), so the results equal
+# the unpruned rules under ==.  Its source holds only entry indices, the
+# coefficients of the term tables and the literals 0.0 and 1.0; it reads
+# nothing but its arguments.
 
 VALUE, ZERO, ONE, NONFINITE = 0, 1, 2, 3
 
 # (coefficient, factor indices) terms of each component, in the order
-# Jet3.__mul__ and _compose evaluate them.  Indices address A + B for the
-# product and G + A for the chain rule (G the outer derivatives).
+# Jet3.__mul__ and _compose evaluate them.  Index i addresses entry i of A
+# below 4 and entry i - 4 of B from 4 on: A, B are the factors of the
+# product, and the outer derivatives G and the inner jet of the chain rule.
 _LEIBNIZ = (
     ((None, (0, 4)),),
     ((None, (1, 4)), (None, (0, 5))),
@@ -369,51 +378,22 @@ _CHAIN = (
 )
 
 
-def _const_fn(value):
-    return lambda V: value
+def _entry(i):
+    return f"{'AB'[i // 4]}[{i % 4}]"
 
 
-def _term_fn(c, idx):
-    if not idx:
-        return _const_fn(1.0 if c is None else c)
-    if c is None:
-        if len(idx) == 1:
-            return itemgetter(idx[0])
-        if len(idx) == 2:
-            i, j = idx
-            return lambda V: V[i] * V[j]
-        if len(idx) == 3:
-            i, j, k = idx
-            return lambda V: V[i] * V[j] * V[k]
-        i, j, k, m = idx
-        return lambda V: V[i] * V[j] * V[k] * V[m]
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda V: c * V[i]
-    if len(idx) == 2:
-        i, j = idx
-        return lambda V: c * V[i] * V[j]
-    i, j, k = idx
-    return lambda V: c * V[i] * V[j] * V[k]
+def _term(c, idx):
+    factors = ([] if c is None else [repr(c)]) + [_entry(i) for i in idx]
+    return " * ".join(factors) or "1.0"
 
 
-def _sum_fn(terms):
-    fns = [_term_fn(c, idx) for c, idx in terms]
-    if len(fns) == 1:
-        return fns[0]
-    if len(fns) == 2:
-        f, g = fns
-        return lambda V: f(V) + g(V)
-    if len(fns) == 3:
-        f, g, h = fns
-        return lambda V: f(V) + g(V) + h(V)
-    f, g, h, k = fns
-    return lambda V: f(V) + g(V) + h(V) + k(V)
+def _sum(terms):
+    return " + ".join(_term(c, idx) for c, idx in terms)
 
 
-def _assemble(fns):
-    f0, f1, f2, f3 = fns
-    return lambda V: (f0(V), f1(V), f2(V), f3(V))
+def _compiled(args, components):
+    """The function ``lambda args: (c0, c1, c2, c3)`` of the component sources."""
+    return eval(f"lambda {args}: ({', '.join(components)})", {"__builtins__": {}})
 
 
 def _computed(indices, kinds):
@@ -422,20 +402,20 @@ def _computed(indices, kinds):
 
 
 def _pruned(terms, kinds):
-    """One derivative component's (V -> value, kind) from its terms."""
+    """One derivative component's (source, kind) from its terms."""
     kept = [
         (c, tuple(i for i in idx if kinds[i] != ONE))
         for c, idx in terms
         if all(kinds[i] != ZERO for i in idx) or any(kinds[i] == NONFINITE for i in idx)
     ]
     if not kept:
-        return _const_fn(0.0), ZERO
+        return "0.0", ZERO
     if len(kept) == 1 and kept[0][0] is None and len(kept[0][1]) < 2:
         if not kept[0][1]:
-            return _const_fn(1.0), ONE
+            return "1.0", ONE
         i = kept[0][1][0]
-        return itemgetter(i), kinds[i]
-    return _sum_fn(kept), _computed([i for _, idx in kept for i in idx], kinds)
+        return _entry(i), kinds[i]
+    return _sum(kept), _computed([i for _, idx in kept for i in idx], kinds)
 
 
 _RULES = {"product": _LEIBNIZ, "chain": _CHAIN}
@@ -443,62 +423,53 @@ _RULES = {"product": _LEIBNIZ, "chain": _CHAIN}
 
 @lru_cache(maxsize=None)
 def rule(name, kinds):
-    """Compile the "product" (Leibniz) or "chain" rule for inputs of the
-    given kinds: -> (V -> 4-tuple, output kinds).  The value component is
-    never pruned."""
+    """Compile the "product" (Leibniz) or "chain" rule for input entries of
+    the given kinds, A's four and then B's, to one expression:
+    -> ((A, B) -> 4-tuple, output kinds).  The chain rule takes the outer
+    derivatives as A and the inner jet as B.  The value component is never
+    pruned."""
     terms = _RULES[name]
-    fn, out = [_sum_fn(terms[0])], [_computed([i for _, idx in terms[0] for i in idx], kinds)]
+    src, out = [_sum(terms[0])], [_computed([i for _, idx in terms[0] for i in idx], kinds)]
     for k in (1, 2, 3):
-        f, kind = _pruned(terms[k], kinds)
-        fn.append(f)
+        s, kind = _pruned(terms[k], kinds)
+        src.append(s)
         out.append(kind)
-    return _assemble(fn), tuple(out)
-
-
-def _add_fn(i, j):
-    return lambda V: V[i] + V[j]
-
-
-def _sub_fn(i, j):
-    return lambda V: V[i] - V[j]
-
-
-def _neg_fn(i):
-    return lambda V: -V[i]
+    return _compiled("A, B", src), tuple(out)
 
 
 @lru_cache(maxsize=None)
 def linear_rule(op, kinds):
-    """Compile a + b, a - b (V = A + B) or -a (V = A) componentwise."""
-    fns, out = [], []
+    """Compile a + b, a - b ((A, B) -> 4-tuple) or -a (A -> 4-tuple)
+    componentwise to one expression, for input entries of the given kinds."""
+    src, out = [], []
     for k in range(4):
         ka = kinds[k]
         if op == "neg":
             if k and ka == ZERO:
-                fns.append(_const_fn(0.0))
+                src.append("0.0")
                 out.append(ZERO)
             else:
-                fns.append(_neg_fn(k))
+                src.append(f"-A[{k}]")
                 out.append(_computed([k], kinds))
             continue
         kb = kinds[4 + k]
         a_zero, b_zero = k and ka == ZERO, k and kb == ZERO
         if (a_zero and b_zero) or (op == "-" and k and ka == kb == ONE):
-            fns.append(_const_fn(0.0))
+            src.append("0.0")
             out.append(ZERO)
         elif b_zero:
-            fns.append(itemgetter(k))
+            src.append(f"A[{k}]")
             out.append(ka)
         elif a_zero and op == "+":
-            fns.append(itemgetter(4 + k))
+            src.append(f"B[{k}]")
             out.append(kb)
         elif a_zero:
-            fns.append(_neg_fn(4 + k))
+            src.append(f"-B[{k}]")
             out.append(_computed([4 + k], kinds))
         else:
-            fns.append((_add_fn if op == "+" else _sub_fn)(k, 4 + k))
+            src.append(f"A[{k}] + B[{k}]" if op == "+" else f"A[{k}] - B[{k}]")
             out.append(_computed([k, 4 + k], kinds))
-    return _assemble(fns), tuple(out)
+    return _compiled("A" if op == "neg" else "A, B", src), tuple(out)
 
 
 # -- truncated Taylor series ------------------------------------------------

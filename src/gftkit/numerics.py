@@ -18,8 +18,9 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> float:
-    """Root of fn on [a, b] by plain bisection; requires a sign change."""
+def bisect(fn, a: float, b: float, xtol: float = 1e-14) -> float:
+    """Root of fn on [a, b] by plain bisection, at most 200 halvings;
+    requires a sign change."""
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a
@@ -27,7 +28,7 @@ def bisect(fn, a: float, b: float, xtol: float = 1e-14, max_iter: int = 200) -> 
         return b
     if fa * fb > 0.0:
         raise ValueError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         if b - a < xtol or m == a or m == b:
             return m
@@ -54,7 +55,8 @@ def unique_sorted(*arrays) -> np.ndarray:
 # longer per point.  Below 16 384 points no complex array reaches numpy's
 # 256 KiB temporary-elision threshold, so a point's jet does not depend on
 # the grid it lies on: elision reorders complex products, which numpy's SIMD
-# loops do not round commutatively.
+# loops do not round commutatively.  The array jet evaluators run any longer
+# array in blocks of this size, for the same reason.
 _RING_BLOCK_POINTS = 8192
 
 # Freeing one large block that malloc mapped raises glibc's mmap threshold to
@@ -122,8 +124,9 @@ class Extremum:
         return self.value, self.point
 
 
-def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimum of a unimodal fn on [a, b] -> (x, fx).
+def golden_min(fn, a: float, b: float):
+    """Golden-section minimum of a unimodal fn on [a, b] -> (x, fx), until
+    the bracket is below 1e-10 wide, in at most 200 steps.
 
     Deterministic and derivative-free; fine for the short refinement
     sweeps where a bracketing optimiser would be overkill.
@@ -131,8 +134,8 @@ def golden_min(fn, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200)
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if h < xtol:
+    for _ in range(200):
+        if h < 1e-10:
             break
         h *= _INVPHI
         if fc < fd:

@@ -489,8 +489,8 @@ def _integral(q: QFunction, a: float, b: float, rel_tol: float) -> float:
     return total
 
 
-def integrate_q(q: QFunction, abs_tol: float = 1e-10) -> float:
-    """Integral of q over [0, 1).
+def integrate_q(q: QFunction) -> float:
+    """Integral of q over [0, 1), to 1e-10 absolute.
 
     A sample table is piecewise linear, with np.interp's constant ends
     outside its knots, so its integral is the exact trapezoid sum over the
@@ -508,7 +508,7 @@ def integrate_q(q: QFunction, abs_tol: float = 1e-10) -> float:
         return float(np.trapezoid(q(pts), pts))
 
     total = _integral(q, 0.0, 0.5, 1e-12)
-    cutoff = max(abs_tol / 10.0, 1e-16)
+    cutoff = 1e-10 / 10.0  # a tenth of the 1e-10 the result is good to
     prev = math.inf
     for k in range(2, 61):
         a, b = 1.0 - 2.0 ** -(k - 1), 1.0 - 2.0**-k
@@ -528,13 +528,14 @@ class IntegralCheck:
     implied_order: float
 
 
-def integral_criterion(q: QFunction, c: float, abs_tol: float = 1e-10) -> IntegralCheck:
+def integral_criterion(q: QFunction, c: float) -> IntegralCheck:
     """Sufficient condition: integral of q <= c (c <= 1) puts q in every
-    positivity class of order alpha <= 1 - c."""
+    positivity class of order alpha <= 1 - c; the integral is integrate_q's,
+    to 1e-10 absolute."""
     c = float(c)
     if not (0.0 <= c <= 1.0):
         raise ValueError(f"the bound c must lie in [0, 1], got {c}")
-    total = integrate_q(q, abs_tol=abs_tol)
+    total = integrate_q(q)
     return IntegralCheck(
         integral=total,
         bound=c,
@@ -589,18 +590,16 @@ class SharpnessResult:
     floor: float
 
 
-def sharpness_construct(
-    n: int, beta: float, eps_end: float = 1e-6, rel_tol: float = 1e-10
-) -> SharpnessResult:
+def sharpness_construct(n: int, beta: float, eps_end: float = 1e-6) -> SharpnessResult:
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     coeff = (1.0 - beta) * (n + 1)
     q = QFunction.from_expression(f"{coeff!r}*x^{int(n)}")
-    # one solve serves the scan (on the reporting nodes of an eps_end solve)
-    # and the boundary limit (on check_palpha's ladder)
-    sol = integrate_ivp(q, eps_end=min(eps_end, 2.0**-21), rel_tol=rel_tol)
+    # one solve, at rel_tol 1e-10, serves the scan (on the reporting nodes of
+    # an eps_end solve) and the boundary limit (on check_palpha's ladder)
+    sol = integrate_ivp(q, eps_end=min(eps_end, 2.0**-21), rel_tol=1e-10)
 
     # no crossing to search for: y >= floor * x > 0 and x y'/y >= floor > beta
     xs = _reporting_nodes(eps_end)[1:]

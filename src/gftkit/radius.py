@@ -36,13 +36,14 @@ class RadiusResult:
     residual: float
 
 
-def radius_inverse_convexity(alpha: float, xtol: float = 1e-15) -> RadiusResult:
-    """Root of P_alpha on (0, 1) by bisection, checked against the closed form."""
+def radius_inverse_convexity(alpha: float) -> RadiusResult:
+    """Root of P_alpha on (0, 1) by bisection to 1e-15, checked against the
+    closed form."""
     alpha = float(alpha)
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     # P(0) = alpha - 1 < 0 and P(1) = 2 > 0: exactly one root inside.
-    root = bisect(lambda x: radius_polynomial(alpha, x), 0.0, 1.0, xtol=xtol)
+    root = bisect(lambda x: radius_polynomial(alpha, x), 0.0, 1.0, xtol=1e-15)
     closed = (2.0 - math.sqrt(3.0 + alpha * alpha)) / (1.0 + alpha)
     return RadiusResult(
         alpha=alpha,

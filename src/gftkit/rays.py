@@ -46,6 +46,7 @@ from . import palpha as _palpha
 from .errors import YVanishes
 
 _ORDER = 24  # Taylor order of v and u per step; p enters through order _ORDER - 2
+_REL_TOL = 1e-10  # relative error allowed per step
 _RING = 32  # samples per ring
 # a ring is accepted when its tail (numerics.ring_taylor) is at most _TAIL_TOL;
 # a tail cannot fall below the roundoff of the samples, and at 1e-14 the
@@ -96,9 +97,9 @@ def solve_ray(
     p,
     theta: float,
     r_max: float = 0.999,
-    rel_tol: float = 1e-10,
 ) -> RaySolution:
-    """Both normalized solutions along one ray, reported on >= 257 radii.
+    """Both normalized solutions along one ray, reported on >= 257 radii,
+    solved to relative tolerance 1e-10.
 
     ``p`` is a FunctionExpr, evaluated on a whole ring in one array call,
     or a plain callable z -> complex, called at a scalar z; a GftError from
@@ -111,7 +112,7 @@ def solve_ray(
         def p_at(z):
             return np.array([_scalar_sample(p, w) for w in z.ravel()]).reshape(z.shape)
 
-    (ray,) = _solve_rays(p_at, [theta], r_max=r_max, rel_tol=rel_tol)
+    (ray,) = _solve_rays(p_at, [theta], r_max=r_max)
     return ray
 
 
@@ -126,9 +127,9 @@ def _solve_rays(
     p_at,
     thetas,
     r_max: float = 0.999,
-    rel_tol: float = 1e-10,
 ) -> list[RaySolution]:
-    """All rays on shared Taylor steps from rho = 0 to r_max.
+    """All rays on shared Taylor steps from rho = 0 to r_max, at relative
+    tolerance _REL_TOL.
 
     ``p_at`` maps a complex array of points to their coefficients in one
     call; a scalar result is broadcast.  Each step samples one ring per ray
@@ -143,7 +144,7 @@ def _solve_rays(
         raise ValueError("need at least one ray")
     phase = np.exp(1j * thetas)
     minus_phase2 = -phase * phase
-    eps = rel_tol / _ORDER  # w_t carries ~_ORDER times w's truncation error
+    eps = _REL_TOL / _ORDER  # w_t carries ~_ORDER times w's truncation error
     first = min(_FIRST_NODE, r_max / 8.0)
     nodes = unique_sorted(np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES))
     # (w, w_t) x (v, u) x ray at the step start; (w, w_t) x radius x (v, u) x ray
@@ -285,22 +286,21 @@ def starlike_equivalence_check(
     alpha: float,
     n_rays: int = 64,
     sampler: DiskSampler = None,
-    rel_tol: float = 1e-10,
     tol: float = 1e-4,
 ) -> EquivalenceReport:
     """Check both sides of the factorization equivalence numerically.
 
     Route one: sampled pole-normalized convexity of f at order alpha.
-    Route two: v from p = S_f/2 along n_rays rays must be starlike of
-    order (1+alpha)/2.  The two verdicts are reported with the agreement
-    flag; ``tol`` pads route two because ray nodes are far sparser than
-    the membership grid.
+    Route two: v from p = S_f/2 along n_rays rays, solved to relative
+    tolerance 1e-10, must be starlike of order (1+alpha)/2.  The two
+    verdicts are reported with the agreement flag; ``tol`` pads route two
+    because ray nodes are far sparser than the membership grid.
     """
     sampler = sampler or DiskSampler()
     target = 0.5 * (1.0 + alpha)
     thetas = 2.0 * np.pi * np.arange(int(n_rays)) / n_rays
     rays = _solve_rays(
-        lambda z: schwarzian(f, z) / 2.0, thetas, r_max=sampler.r_max, rel_tol=rel_tol
+        lambda z: schwarzian(f, z) / 2.0, thetas, r_max=sampler.r_max
     )
 
     worst_margin, worst_theta, worst_drift = np.inf, 0.0, 0.0
@@ -329,19 +329,19 @@ def starlike_equivalence_check(
 class ReconstructedMap:
     """f on (0, 1) rebuilt from a base solution: f' = -1/y^2, f(omega) = 0.
 
-    The map itself comes from trapezoid accumulation of the dense y;
+    The map itself comes from trapezoid accumulation of the dense y, solved
+    to eps_end at rel_tol 1e-10;
     ``schwarzian_fd`` recovers S_f by finite differences of f''/f' =
     -2 y'/y, deliberately *not* substituting the analytic answer 2 q, so
     comparing it against 2 q is a genuine closed-loop residual.
     """
 
-    def __init__(self, q: _palpha.QFunction, omega: float,
-                 eps_end: float = 1e-6, rel_tol: float = 1e-10):
+    def __init__(self, q: _palpha.QFunction, omega: float, eps_end: float = 1e-6):
         if not (0.0 < omega < 1.0 - eps_end):
             raise ValueError(f"omega must lie in (0, 1 - eps_end), got {omega}")
         self.q = q
         self.omega = float(omega)
-        self.solution = _palpha.integrate_ivp(q, eps_end=eps_end, rel_tol=rel_tol)
+        self.solution = _palpha.integrate_ivp(q, eps_end=eps_end, rel_tol=1e-10)
         self._x_hi = 1.0 - eps_end
 
     def _y_checked(self, x):
@@ -392,9 +392,8 @@ class ReconstructedMap:
         return float(wp - 0.5 * w(x) ** 2)
 
 
-def reconstruct_f_from_y(
-    q: _palpha.QFunction, omega: float, eps_end: float = 1e-6, rel_tol: float = 1e-10
-) -> ReconstructedMap:
+def reconstruct_f_from_y(q: _palpha.QFunction, omega: float,
+                         eps_end: float = 1e-6) -> ReconstructedMap:
     """Build the map with Schwarzian 2 q from the base solution of
     y'' + q y = 0; see ReconstructedMap for the closed-loop residual."""
-    return ReconstructedMap(q, omega, eps_end=eps_end, rel_tol=rel_tol)
+    return ReconstructedMap(q, omega, eps_end=eps_end)

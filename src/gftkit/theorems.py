@@ -64,11 +64,10 @@ def verify_sufficiency(
     q: QFunction,
     alpha: float,
     sampler: DiskSampler = None,
-    dominance_tol: float = 1e-8,
     tol: float = 1e-6,
 ) -> TheoremReport:
-    """Hypotheses: |S_f(z)| <= 2 q(|z|) on the sampled disk, and q lies in
-    the positivity class of order (1+alpha)/2.  Conclusion: f is
+    """Hypotheses: |S_f(z)| <= 2 q(|z|) on the sampled disk, to 1e-8, and q
+    lies in the positivity class of order (1+alpha)/2.  Conclusion: f is
     pole-normalized convex of order alpha on the same grid."""
     # the dominance hypothesis is reduced in the grid's one pass, from the same
     # block jets as the conclusion: the least slack 2q(|z|) - |S_f| and its
@@ -86,7 +85,7 @@ def verify_sufficiency(
     field = GridField(f, sampler, (Family.BC,), each_block=dominance)
     least, at = slack.best("Schwarzian samples")
     dom_margin = -float(least)
-    dominated = dom_margin <= dominance_tol
+    dominated = dom_margin <= 1e-8
 
     target = 0.5 * (1.0 + alpha)
     pv = check_palpha(q, target, tol=tol)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gftkit import DiskSampler, compiler, compose_mobius, parse, schwarzian
+from gftkit import DiskSampler, compiler, compose_mobius, numerics, parse, schwarzian
+from gftkit.catalog import get_entry
 from gftkit.errors import GftError
 from gftkit.expressions import _Add, _Const, _Div, _Fun, _Mul, _Neg, _Pow, _Sub, _Var
 from gftkit.families import GridField
@@ -286,6 +287,22 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
     f.series(0.5, 3)
     f.series(0.25, 8)
     assert built == [(f.root, "array"), (f.root, "scalar"), (f.root, "series")]
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 32768])
+def test_a_points_array_jet_does_not_depend_on_the_arrays_length(n):
+    # numpy reorders complex products on temporaries of 16 384 points or more;
+    # longer arrays evaluate in blocks, so their jets are the blocks' bit for bit
+    f = get_entry("cot_scaled_a050").expr
+    z = DiskSampler(rings=64, points_per_ring=512).points()
+    block = numerics._RING_BLOCK_POINTS
+    parts = [f.jet(z[i:i + block]) for i in range(0, n, block)]
+    whole = f.jet(z[:n])
+    for k in range(4):
+        want = np.concatenate([getattr(p, f"v{k}") for p in parts])[:n]
+        assert getattr(whole, f"v{k}").tobytes() == want.tobytes(), k
+    column = f.jet(z[:n, None])  # the components keep the input's shape
+    assert column.v3.shape == (n, 1) and column.v3.tobytes() == whole.v3.tobytes()
 
 
 def test_the_cached_evaluator_is_not_part_of_the_map():

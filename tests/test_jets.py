@@ -1,12 +1,18 @@
 """Jet propagation against symbolic and finite-difference oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from gftkit import jets
 from gftkit.errors import BranchPointOrPole, DivisionAtZero
 from gftkit.jets import (
     ELEMENTARY,
+    ONE,
+    VALUE,
+    ZERO,
     Jet3,
     jet_cos,
     jet_cot,
@@ -109,6 +115,41 @@ def test_integer_power_at_zero_is_legal():
     assert (j.v0, j.v1, j.v2, j.v3) == (0.0, 0.0, 2.0, 0.0)
     with pytest.raises(BranchPointOrPole):
         jet_pow(variable(0.0), 0.5)
+
+
+# -- the pruned rules of the built evaluators ----------------------------------
+
+# each rule's Jet3 reference, as a function of the input 4-tuples
+_REFERENCE = {
+    "product": lambda A, B: Jet3(*A) * Jet3(*B),
+    "chain": lambda G, A: jets._compose(Jet3(*A), *G),
+    "+": lambda A, B: Jet3(*A) + Jet3(*B),
+    "-": lambda A, B: Jet3(*A) - Jet3(*B),
+    "neg": lambda A: -Jet3(*A),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE))
+def test_every_pruned_rule_equals_the_jet3_reference(name):
+    # every kinds tuple over {VALUE, ZERO, ONE} whose value entries are not ZERO
+    rng = np.random.default_rng(2505)
+    compile_rule = jets.rule if name in ("product", "chain") else jets.linear_rule
+    size = 4 if name == "neg" else 8
+    cases = 0
+    for kinds in itertools.product((VALUE, ZERO, ONE), repeat=size):
+        if ZERO in kinds[::4]:
+            continue
+        entries = [0.0 if k == ZERO else 1.0 if k == ONE else complex(*rng.standard_normal(2))
+                   for k in kinds]
+        args = [tuple(entries[i:i + 4]) for i in range(0, size, 4)]
+        fn, out = compile_rule(name, kinds)
+        got, ref = fn(*args), _REFERENCE[name](*args)
+        assert got == (ref.v0, ref.v1, ref.v2, ref.v3), (kinds, got, ref)
+        assert all(v == 0 for v, k in zip(got, out) if k == ZERO), (kinds, got, out)
+        assert all(v == 1 for v, k in zip(got, out) if k == ONE), (kinds, got, out)
+        assert fn.__code__.co_names == ()  # the compiled rule reads only its arguments
+        cases += 1
+    assert cases == 2 ** (size // 4) * 3 ** (size - size // 4)
 
 
 # -- finite-difference property checks --------------------------------------

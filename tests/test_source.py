@@ -177,3 +177,29 @@ def test_the_light_modules_import_no_numpy():
              "gftkit.shared"]
     assert {m: sorted(imports[m] & heavy) for m in light} == {m: [] for m in light}
     assert "gftkit.compiler" in heavy  # the check reaches numpy through gftkit's own modules
+
+
+CODE_BUILTINS = {"eval", "exec", "compile"}
+
+
+def code_builtin_uses(source: str) -> list:
+    """(enclosing top-level name, builtin) for each use by name of eval, exec or
+    compile; an attribute such as ``re.compile`` is another function."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        uses += [(owner, n.id) for n in ast.walk(top)
+                 if isinstance(n, ast.Name) and n.id in CODE_BUILTINS]
+    return uses
+
+
+def test_the_checker_sees_eval_exec_and_compile():
+    src = ("import re\neval('1')\nre.compile('x')\nrun = exec\n"
+           "def f():\n    return compile('1', '', 'eval')\nclass K:\n    x = re.compile\n")
+    assert code_builtin_uses(src) == [(None, "eval"), (None, "exec"), ("f", "compile")]
+
+
+def test_only_the_rule_emitter_compiles_code():
+    # the jet rules are the one place that turns generated source into code
+    uses = {p.name: code_builtin_uses(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: u for name, u in uses.items() if u} == {"jets.py": [("_compiled", "eval")]}
