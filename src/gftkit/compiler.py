@@ -1,8 +1,9 @@
-"""The tree compiler behind FunctionExpr's three evaluators.
+"""The tree compiler behind FunctionExpr's evaluators.
 
-``_build_path(root, mode)`` turns an expression tree from ``expressions``
-into its scalar jet, array jet or Taylor-series evaluator.  It lives apart
-from the tree and the parser because it needs numpy, which they do not.
+``_build_path(root, mode, order)`` turns an expression tree from
+``expressions`` into its scalar or array jet evaluator of one order, or its
+Taylor-series evaluator.  It lives apart from the tree and the parser
+because it needs numpy, which they do not.
 """
 
 from __future__ import annotations
@@ -21,22 +22,49 @@ from .numerics import _RING_BLOCK_POINTS
 
 # -- the built evaluators ------------------------------------------------------
 #
-# A FunctionExpr builds each of its three evaluators once, on first use
-# (FunctionExpr.scalar_jet, array_jet, series), by one compiler, _build, in
-# the matching mode.  Each node becomes a closure from a seed to the node's
-# entries.  In the two jet modes the seed is z and the entries are a plain
-# 4-tuple (v0, v1, v2, v3), which the node computes by calling the rule of
-# its operation on its children's tuples: jets.rule and jets.linear_rule
-# compile each pruned rule once, for the kinds of the children's entries, to
-# one expression over those tuples.  In series mode the seed is the variable's
-# series (x0, 1, 0, ...) about a real point x0 and the entries are complex
-# Taylor coefficients through the seed's order, from jets' truncated-series
-# recurrences.  Constant subtrees are folded once, at build time and for
-# every mode, with the unpruned rules, which are the Jet3 formulas, so they
-# hold exactly what a tree walk computes; one that hits a singular point
-# raises its error on every call, where the walk would reach it.
+# A FunctionExpr builds one jet evaluator per (mode, order) it is asked for
+# and one series evaluator, each once, on first use, by one compiler,
+# _Builder, in the matching mode.
 #
-# The scalar and the array path get separate closures, because the walk's
+# The step list.  The builder hash-conses the tree: each distinct subtree
+# becomes one plan, and each plan that is not a constant one step of a flat
+# list, (rule, input plans, output plan), in the order a depth-first walk
+# first reaches it.  Constant subtrees are folded at build time with the
+# unpruned rules, which are the Jet3 formulas, so they hold what a tree walk
+# computes.  Every step runs, read or not: the base of an f^0 is a step that
+# nothing reads, and a constant that hits a singular point is a step that
+# raises, so a call raises the error a walk would raise first.  A call runs
+# the steps on a list of slots that lives in the call: the seed in slot 0,
+# each constant a step reads in a slot of its own, and each result in the
+# slot of an input that the step reads last, or else in a free slot.  A step
+# also clears the slot of its other input that it reads last, so every
+# intermediate is released after its last reader.  An unread result (the
+# base of an f^0) goes to slot 1, which every step that frees nothing
+# clears; if both its inputs die there, one stays until its slot is reused.
+#
+# The keys.  A literal constant is keyed by its type and repr, so 1.0 and
+# 1+0j, or 0.0 and -0.0, which round apart, never share a plan.  An
+# operation, folded or not, is keyed by its name, its parameter (a function
+# name, an exponent) and its children's plan numbers, so keying stays linear
+# in the size of the tree; a node object that the tree holds more than once
+# is keyed once.  x/y is the product of x and the reciprocal of y, f^-n the
+# reciprocal of f^n, and f^0 the literal 1+0j.
+#
+# The orders.  In the two jet modes the seed is z and the entries a tuple
+# (v0, ..., vn) through the evaluator's order n: jets.rule and
+# jets.linear_rule compile each pruned rule once, for the kinds of its
+# inputs' four entries and the order, to one expression over those tuples,
+# and the outer helpers compute only the derivatives through n.  Component k
+# of every rule reads only entries 0..k of its inputs, so an evaluator of
+# order n computes the leading entries of the order-3 jet bit for bit and
+# skips the rest.  In series mode the seed is the variable's series
+# (x0, 1, 0, ...) about a real point x0 and the entries are complex Taylor
+# coefficients through the seed's order, from jets' truncated-series
+# recurrences.  A series rule holds its constant operand: a product scales
+# the other series by the constant's value instead of convolving, and a sum
+# builds the constant's series for the length of the other.
+#
+# The scalar and the array path get separate builds, because the walk's
 # numbers differ in type there and complex products and quotients round
 # differently by type: a numpy array product unlike a scalar product, and
 # numpy scalar quotients unlike Python ones.  On the array path constants
@@ -46,24 +74,19 @@ from .numerics import _RING_BLOCK_POINTS
 # there.  Sums and products give equal values whatever the type, so only
 # the result's types matter (callers divide by them): the root converts an
 # entry whose type differs from the walk's.
-#
-# In series mode a constant's series is zero past order 0, and its kinds say
-# so: (VALUE, ZERO, ZERO, ZERO).  A product with a constant factor scales the
-# other series by the constant's value instead of convolving, which would add
-# products with those zeros.  Every other series plan has the kinds _FULL.
 
 
 class _Plan(NamedTuple):
-    fn: object  # seed -> 4-tuple, or series -> series
-    kinds: tuple  # jets kind of each entry
+    kinds: tuple  # jets kind of each of the four entries
     const: object = None  # the folded 4-tuple of a constant subtree
-    effects: tuple = ()  # what a constant must still evaluate (the base of f^0)
     types: tuple = None  # scalar path: (walk, own) type samples
 
 
 _FOLD, _SCALAR, _ARRAY, _SERIES = "fold", "scalar", "array", "series"
 _FULL = (jets.VALUE,) * 4  # kinds that prune nothing
+_FOLDING = (_Plan(_FULL),) * 2  # the children of an unpruned rule, which folds constants
 _IDENTITY = (complex(1.0), 0.0, 0.0, 0.0)  # the jet of the constant 1, as Jet3 seeds it
+_SEED, _UNREAD = 0, 1  # the slots of the seed and of results that nothing reads
 # one value per type a scalar walk holds, away from every singular point
 _SAMPLES = {t: t(1.5 + 0.5j) if issubclass(t, complex) else t(1.5)
             for t in (float, complex, np.float64, np.complex128)}
@@ -74,10 +97,8 @@ def _samples(values):
 
 
 def _const_kinds(values, mode):
-    if mode == _FOLD:
+    if mode in (_FOLD, _SERIES):
         return _FULL
-    if mode == _SERIES:
-        return (jets.VALUE,) + (jets.ZERO,) * 3
     kinds = []
     for k, v in enumerate(values):
         if not cmath.isfinite(v):
@@ -92,84 +113,60 @@ def _const_kinds(values, mode):
 
 
 def _held(values, mode):
-    """A constant 4-tuple as the path holds it: 1-element arrays on the array path."""
+    """Constant entries as the path holds them: 1-element arrays on the array path."""
     return tuple(np.array(values, dtype=complex)[:, None]) if mode == _ARRAY else values
 
 
-def _const_plan(values, mode, effects=()):
-    values = tuple(values)
-    if mode == _SERIES:
-        v0 = values[0]
-
-        def fn(s):
-            for effect in effects:
-                effect(s)
-            c = np.zeros(s.shape, dtype=complex)
-            c[0] = v0
-            return c
-    else:
-        rt = _held(values, mode)
-
-        def fn(z):
-            for effect in effects:
-                effect(z)
-            return rt
-
-    types = (values, values) if mode == _SCALAR else None
-    return _Plan(fn, _const_kinds(values, mode), values, effects, types)
-
-
-def _raiser(exc, effects, mode):
+def _raiser(exc):
     cls, args = type(exc), exc.args
 
-    def fn(z):
-        for effect in effects:
-            effect(z)
+    def fn(seed):
         raise cls(*args)
 
-    types = ((_SAMPLES[complex],) * 4,) * 2 if mode == _SCALAR else None
-    return _Plan(fn, _FULL, None, (), types)
+    return fn
 
 
-def _node(children, compile_op, mode):
-    """Plan for an operation on child plans; folds constant children."""
-    if all(c.const is not None for c in children):
-        f, _ = compile_op((_FULL,) * len(children), _FOLD)
-        effects = sum((c.effects for c in children), ())
-        try:
-            return _const_plan(f(*(c.const for c in children)), mode, effects)
-        except GftError as exc:
-            return _raiser(exc, effects, mode)
-    f, kinds = compile_op(tuple(c.kinds for c in children), mode)
-    types = None
-    if mode == _SCALAR:
-        walk, _ = compile_op((_FULL,) * len(children), _FOLD)
-        types = tuple(_samples(g(*(c.types[i] for c in children))) for i, g in enumerate((walk, f)))
-    if len(children) == 1:
-        fa = children[0].fn
-        return _Plan(lambda z: f(fa(z)), kinds, None, (), types)
-    fa, fb = children[0].fn, children[1].fn
-    return _Plan(lambda z: f(fa(z), fb(z)), kinds, None, (), types)
+def _series_const(v0):
+    """s -> the series of the constant v0 to the length of s."""
+
+    def fn(s):
+        c = np.zeros(s.shape, dtype=complex)
+        c[0] = v0
+        return c
+
+    return fn
 
 
-def _product_op(kinds, mode):
+def _product_op(plans, mode, order):
+    a, b = plans
     if mode == _SERIES:
-        if kinds[0][1] == jets.ZERO:  # a constant factor
-            return (lambda A, B: B * A[0]), _FULL
-        if kinds[1][1] == jets.ZERO:
-            return (lambda A, B: A * B[0]), _FULL
+        # a constant factor scales the other series by its value, the 0-d
+        # complex its series starts with, instead of convolving
+        if a.const is not None:
+            c = np.complex128(a.const[0])
+            return (lambda B: B * c), _FULL
+        if b.const is not None:
+            c = np.complex128(b.const[0])
+            return (lambda A: A * c), _FULL
         return jets.series_product, _FULL
-    return jets.rule("product", kinds[0] + kinds[1])
+    return jets.rule("product", a.kinds + b.kinds, order)
 
 
 _SERIES_LINEAR = {"+": np.add, "-": np.subtract, "neg": np.negative}
 
 
 def _linear_op(op):
-    def compile_op(kinds, mode):
-        if mode == _SERIES:
-            return _SERIES_LINEAR[op], _FULL
-        return jets.linear_rule(op, sum(kinds, ()))
+    def compile_op(plans, mode, order):
+        if mode != _SERIES:
+            return jets.linear_rule(op, sum((p.kinds for p in plans), ()), order)
+        fn = _SERIES_LINEAR[op]
+        if plans[0].const is not None:
+            c = _series_const(plans[0].const[0])
+            return (lambda B: fn(c(B), B)), _FULL
+        if len(plans) > 1 and plans[1].const is not None:
+            c = _series_const(plans[1].const[0])
+            return (lambda A: fn(A, c(A))), _FULL
+        return fn, _FULL
 
     return compile_op
 
@@ -179,19 +176,19 @@ def _outer_op(outer, series, guarded, branched=False):
     a ``branched`` outer folds a real-typed constant as complex, as the walk
     does (jets.complex_arg)."""
 
-    def compile_op(kinds, mode):
+    def compile_op(plans, mode, order):
         if mode == _SERIES:
             return series, _FULL
-        (ka,) = kinds
+        ka = plans[0].kinds
         kg = jets.NONFINITE if ka[0] == jets.NONFINITE else jets.VALUE
-        r, out = jets.rule("chain", (kg,) * 4 + ka)
+        r, out = jets.rule("chain", (kg,) * 4 + ka, order)
         if guarded and mode == _ARRAY:
             # a masked point makes every entry NaN: nothing stays structural
             out = tuple(k if k == jets.NONFINITE else jets.VALUE for k in out)
-        g_of = (lambda x: outer(jets.complex_arg(x))) if branched and mode == _FOLD else outer
+        g_of = (lambda x, n: outer(jets.complex_arg(x), n)) if branched and mode == _FOLD else outer
 
         def f(A):
-            g, mask = g_of(A[0])
+            g, mask = g_of(A[0], order)
             V = r(g, A)
             return V if mask is None else jets.masked(V, mask)
 
@@ -203,19 +200,19 @@ def _outer_op(outer, series, guarded, branched=False):
 def _int_pow_op(n):
     """f^n for an integer n >= 1 by repeated squaring, as jets._int_pow."""
 
-    def compile_op(kinds, mode):
+    def compile_op(plans, mode, order):
         if mode == _SERIES:
             return jets.series_int_pow(n), _FULL
-        (base,) = kinds
-        one = _held(_IDENTITY, mode)
+        base = plans[0].kinds
+        one = _held(_IDENTITY[:order + 1], mode)
         res, steps, m = _const_kinds(_IDENTITY, mode), [], n
         while m:
             if m & 1:
-                r, res = jets.rule("product", res + base)
+                r, res = jets.rule("product", res + base, order)
                 steps.append((True, r))
             m >>= 1
             if m:
-                r, base = jets.rule("product", base + base)
+                r, base = jets.rule("product", base + base, order)
                 steps.append((False, r))
 
         def f(A):
@@ -239,88 +236,206 @@ _LINEAR = {_Add: _linear_op("+"), _Sub: _linear_op("-")}
 _NEG = _linear_op("neg")
 
 
-def _build(node, mode) -> _Plan:
-    if isinstance(node, _Const):
-        return _const_plan((node.value, 0.0, 0.0, 0.0), mode)
-    if isinstance(node, _Var):
-        kinds = (jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO)
-        if mode == _SERIES:  # the seed is the variable's series
-            return _Plan(lambda s: s, kinds)
+class _Builder:
+    """The hash-consed plans and the step list of one tree, for one mode and
+    order.  Plans are numbered; plan 0 is the variable."""
+
+    def __init__(self, mode, order):
+        self.mode, self.order = mode, order
         seed = (_SAMPLES[complex], 1.0, 0.0, 0.0)
-        types = (seed, seed) if mode == _SCALAR else None
-        return _Plan(lambda z: (z, 1.0, 0.0, 0.0), kinds, None, (), types)
-    if isinstance(node, _Neg):
-        return _node([_build(node.child, mode)], _NEG, mode)
-    if isinstance(node, _Bin):
-        a, b = _build(node.left, mode), _build(node.right, mode)
-        if isinstance(node, _Mul):
-            return _node([a, b], _product_op, mode)
-        if isinstance(node, _Div):
-            return _node([a, _node([b], _RECIPROCAL, mode)], _product_op, mode)
-        return _node([a, b], _LINEAR[type(node)], mode)
-    if isinstance(node, _Fun):
-        return _node([_build(node.child, mode)], _FUNCTIONS[node.name], mode)
-    if isinstance(node, _Pow):
-        a = _build(node.child, mode)
-        c = float(node.exponent)
-        if not c.is_integer():
-            return _node([a], _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True), mode)
-        n = int(c)
-        if n == 0:  # the constant 1, after evaluating the base for its errors
-            return _const_plan(_IDENTITY, mode, a.effects if a.const is not None else (a.fn,))
-        p = _node([a], _int_pow_op(abs(n)), mode)
-        return p if n > 0 else _node([p], _RECIPROCAL, mode)
-    raise TypeError(type(node))  # pragma: no cover
+        types = (seed, seed[:order + 1]) if mode == _SCALAR else None
+        self.plans = [_Plan((jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO), None, types)]
+        self.keys = {}  # key -> plan number
+        self.seen = {}  # id(node) -> plan number: a tree may hold one node object many times
+        self.steps = []  # (rule, input plan numbers, output plan number), in run order
+
+    def root(self, node) -> int:
+        """The plan of the whole tree; in series mode a constant map is a
+        step that builds its series, after the steps of its f^0 bases."""
+        p = self.plan(node)
+        const = self.plans[p].const
+        if self.mode != _SERIES or const is None:
+            return p
+        return self._keyed(("series",), _Plan(_FULL), (0,), _series_const(const[0]))
+
+    def plan(self, node) -> int:
+        p = self.seen.get(id(node))
+        if p is None:
+            p = self.seen[id(node)] = self._plan(node)
+        return p
+
+    def _plan(self, node) -> int:
+        if isinstance(node, _Var):
+            return 0
+        if isinstance(node, _Const):
+            return self._literal(node.value)
+        if isinstance(node, _Neg):
+            return self._op(_NEG, "neg", self.plan(node.child))
+        if isinstance(node, _Bin):
+            a, b = self.plan(node.left), self.plan(node.right)
+            if isinstance(node, _Mul):
+                return self._op(_product_op, "*", a, b)
+            if isinstance(node, _Div):
+                return self._op(_product_op, "*", a, self._op(_RECIPROCAL, "1/", b))
+            return self._op(_LINEAR[type(node)], node.OP, a, b)
+        if isinstance(node, _Fun):
+            return self._op(_FUNCTIONS[node.name], node.name, self.plan(node.child))
+        if isinstance(node, _Pow):
+            a = self.plan(node.child)
+            c = float(node.exponent)
+            if not c.is_integer():
+                op = _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True)
+                return self._op(op, ("^", c), a)
+            n = int(c)
+            if n == 0:  # the constant 1; the base's steps run for their errors
+                return self._literal(_IDENTITY[0])
+            p = self._op(_int_pow_op(abs(n)), ("^", abs(n)), a)
+            return p if n > 0 else self._op(_RECIPROCAL, "1/", p)
+        raise TypeError(type(node))  # pragma: no cover
+
+    def _keyed(self, key, plan, inputs=None, fn=None) -> int:
+        """The number of the new plan ``plan`` under ``key``, with its step."""
+        p = self.keys[key] = len(self.plans)
+        self.plans.append(plan)
+        if fn is not None:
+            self.steps.append((fn, inputs, p))
+        return p
+
+    def _literal(self, value) -> int:
+        key = (type(value), repr(value))
+        p = self.keys.get(key)
+        return self._constant(key, (value, 0.0, 0.0, 0.0)) if p is None else p
+
+    def _constant(self, key, values) -> int:
+        types = (values, values[:self.order + 1]) if self.mode == _SCALAR else None
+        return self._keyed(key, _Plan(_const_kinds(values, self.mode), values, types))
+
+    def _op(self, compile_op, name, *children) -> int:
+        """The plan of an operation on child plans; folds constant children."""
+        key = (name, *children)
+        p = self.keys.get(key)
+        if p is not None:
+            return p
+        plans = tuple(map(self.plans.__getitem__, children))
+        consts = tuple(c.const for c in plans)
+        if None not in consts:
+            fold, _ = compile_op(_FOLDING[:len(plans)], _FOLD, 3)
+            try:
+                return self._constant(key, tuple(fold(*consts)))
+            except GftError as exc:
+                sample = (_SAMPLES[complex],) * 4
+                types = (sample, sample[:self.order + 1]) if self.mode == _SCALAR else None
+                return self._keyed(key, _Plan(_FULL, None, types), (0,), _raiser(exc))
+        fn, kinds = compile_op(plans, self.mode, self.order)
+        types = None
+        if self.mode == _SCALAR:
+            walk, _ = compile_op(_FOLDING[:len(plans)], _FOLD, 3)
+            types = tuple(_samples(g(*(c.types[i] for c in plans))) for i, g in enumerate((walk, fn)))
+        elif self.mode == _SERIES:  # a series rule holds its constant operand
+            children = tuple(c for c, const in zip(children, consts) if const is None)
+        return self._keyed(key, _Plan(kinds, None, types), children, fn)
+
+    def runner(self, top):
+        """The steps as one function: seed -> the entries of plan ``top``."""
+        steps, plans, n = self.steps, self.plans, len(self.steps)
+        last = {}  # plan -> index of the step that reads it last
+        for i, step in enumerate(steps):
+            for p in step[1]:
+                last[p] = i
+        last[top] = n
+        slots, template = {0: _SEED}, [None, None]
+        for p in last:
+            const = plans[p].const
+            if const is not None:  # in a slot of its own, which no step frees
+                slots[p] = len(template)
+                template.append(_held(const[:self.order + 1], self.mode))
+                last[p] = n + 1
+        program, free = [], []
+        for i, (fn, inputs, out) in enumerate(steps):
+            dying = [slots[p] for p in set(inputs) if last[p] == i]
+            if out not in last:
+                to = _UNREAD
+            elif dying:
+                to = dying.pop()
+            elif free:
+                to = free.pop()
+            else:
+                to = len(template)
+                template.append(None)
+            program.append((fn, slots[inputs[0]], slots[inputs[1]] if len(inputs) > 1 else None,
+                            to, dying[0] if dying else _UNREAD))
+            slots[out] = to
+            free += dying
+        program, root = tuple(program), slots[top]
+
+        def run(seed):
+            v = template.copy()
+            v[_SEED] = seed
+            for fn, a, b, to, dead in program:
+                v[to] = fn(v[a]) if b is None else fn(v[a], v[b])
+                v[dead] = None
+            return v[root]
+
+        return run
 
 
-def _build_path(root, mode):
-    """The evaluator of the tree ``root`` in ``mode``: z -> Jet3 for scalar
-    or for array z, or (x0, n) -> the complex Taylor coefficients 0..n about
-    the real point x0."""
+def _build_path(root, mode, order=None):
+    """The evaluator of the tree ``root`` in ``mode``: z -> Jet3 through
+    ``order`` (0 to 3; None above it) for scalar or for array z, or
+    (x0, n) -> the complex Taylor coefficients 0..n about the real point x0."""
+    if mode == _SERIES:
+        order = 3
+    elif order not in (0, 1, 2, 3):
+        raise ValueError(f"jet order must be 0, 1, 2 or 3, got {order!r}")
+    builder = _Builder(mode, order)
     with np.errstate(all="ignore"):  # folding constants may overflow, as the walk would
-        plan = _build(root, mode)
-    fn = plan.fn
+        top = builder.root(root)
+    plan, run = builder.plans[top], builder.runner(top)
     if mode == _SERIES:
         def series(x0, n):
             s = np.zeros(int(n) + 1, dtype=complex)
             s[0], s[1:2] = float(x0), 1.0
             with np.errstate(all="ignore"):  # overflow and singular values stay inf or NaN
-                return fn(s)
+                return run(s)
 
         return series
 
+    tail, pad = (1.0, 0.0, 0.0)[:order], (None,) * (3 - order)
     if mode == _SCALAR:
         casts = [type(w) if type(w) is not type(o) else None for w, o in zip(*plan.types)]
         if any(casts):
             def jet(z):
-                return Jet3(*(v if c is None else c(v) for v, c in zip(fn(complex(z)), casts)))
+                out = run((complex(z),) + tail)
+                return Jet3(*(v if c is None else c(v) for v, c in zip(out, casts)), *pad)
         else:
             def jet(z):
-                return Jet3(*fn(complex(z)))
+                return Jet3(*run((complex(z),) + tail), *pad)
         return jet
 
     if plan.const is not None:  # a constant map (or f^0) keeps the walk's scalars
+        const = plan.const[:order + 1] + pad
+
         def jet(z):
-            fn(z)
-            return Jet3(*plan.const)
+            run((z,) + tail)
+            return Jet3(*const)
         return jet
 
     def jet(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):  # arrays NaN-mask overflow and singular hits
             if z.size <= _RING_BLOCK_POINTS:
-                out = fn(z)
+                out = run((z,) + tail)
                 # entries that do not vary with z are scalars or 1-element arrays until here
                 return Jet3(*(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
-                              for v in out))
+                              for v in out), *pad)
             # numpy reorders complex products on temporaries of 16 384 points or
             # more, which moves last bits: a longer array runs in blocks, so a
             # point's jet does not depend on the length of its array
-            flat, out = z.reshape(-1), [np.empty(z.size, dtype=complex) for _ in range(4)]
+            flat, out = z.reshape(-1), [np.empty(z.size, dtype=complex) for _ in range(order + 1)]
             for i in range(0, z.size, _RING_BLOCK_POINTS):
                 block = slice(i, i + _RING_BLOCK_POINTS)
-                for whole, v in zip(out, fn(flat[block])):
+                for whole, v in zip(out, run((flat[block],) + tail)):
                     whole[block] = v
-        return Jet3(*(v.reshape(z.shape) for v in out))
+        return Jet3(*(v.reshape(z.shape) for v in out), *pad)
 
     return jet

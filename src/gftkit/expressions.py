@@ -415,42 +415,39 @@ class FunctionExpr:
     singular_points: tuple = ()
     exclusion_radius: float = 1e-3
 
-    def jet(self, z) -> Jet3:
-        """Value and first three derivatives of f at a scalar or array z."""
-        return self.scalar_jet(z) if is_scalar(z) else self.array_jet(z)
+    def jet(self, z, order: int = 3) -> Jet3:
+        """Value and first ``order`` derivatives (order 0 to 3) of f at a
+        scalar or array z; the entries above the order are None."""
+        key = ("scalar" if is_scalar(z) else "array", order)
+        evaluator = self._evaluators.get(key)
+        if evaluator is None:
+            from .compiler import _build_path
 
-    # The evaluators are built on first use and kept for the life of the map.
+            evaluator = self._evaluators[key] = _build_path(self.root, *key)
+        return evaluator(z)
+
+    # The evaluators are built on first use and kept for the life of the map:
+    # one jet evaluator per (mode, order) asked for, and one series evaluator.
     # They are not fields: equality, hash and repr ignore them.  The first
     # build in a process imports the compiler, and numpy with it.
     @cached_property
-    def scalar_jet(self):
-        """The jet evaluator for a scalar z."""
-        from .compiler import _SCALAR, _build_path
-
-        return _build_path(self.root, _SCALAR)
-
-    @cached_property
-    def array_jet(self):
-        """The jet evaluator for an array z."""
-        from .compiler import _ARRAY, _build_path
-
-        return _build_path(self.root, _ARRAY)
+    def _evaluators(self):
+        return {}
 
     @cached_property
     def series(self):
         """The series evaluator: (x0, n) -> the complex Taylor coefficients
         of the map about the real point x0 through order n."""
-        from .compiler import _SERIES, _build_path
+        from .compiler import _build_path
 
-        return _build_path(self.root, _SERIES)
+        return _build_path(self.root, "series")
 
     def __getstate__(self):
         # the evaluators are closures; a copy rebuilds them on first use
-        built = ("scalar_jet", "array_jet", "series")
-        return {k: v for k, v in self.__dict__.items() if k not in built}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_evaluators", "series")}
 
     def value(self, z):
-        return self.jet(z).v0
+        return self.jet(z, 0).v0
 
     def derivative(self) -> "FunctionExpr":
         return replace(self, root=self.root.diff())

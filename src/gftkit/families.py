@@ -133,18 +133,22 @@ def functional_value(f: FunctionExpr, family: Family, z):
     At z = 0 the pole-normalized families take their limit value 1.
     """
     family = Family(family)
-    scalar = is_scalar(z)
-    if scalar and complex(z) == 0 and family in B_FAMILIES:
+    if not is_scalar(z):
+        val = _functionals((family,), z, f.jet(z, 2))[family]
+        return np.where(np.asarray(z) == 0, 1.0, val) if family in B_FAMILIES else val
+    if complex(z) == 0 and family in B_FAMILIES:
         return 1.0
-    jet = f.jet(z)
-    if scalar and family in _CONVEX and near_zero(jet.v1):
+    jet = f.jet(z, 2)
+    convex, starlike = family in _CONVEX, family in _STARLIKE
+    if convex and near_zero(jet.v1):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if scalar and family in _STARLIKE and near_zero(jet.v0):
+    if starlike and near_zero(jet.v0):
         raise DivisionAtZero(f"f({z}) = 0 to tolerance")
-    val = _functionals((family,), z, jet)[family]
-    if scalar:
-        return float(val)
-    return np.where(np.asarray(z) == 0, 1.0, val) if family in B_FAMILIES else val
+    # the operations of _functionals on one point: ``.real`` is what np.real
+    # reads, and the guards leave no division by zero to silence
+    a = 1.0 + (z * jet.v2 / jet.v1).real if convex else None
+    b = (z * jet.v1 / jet.v0).real if starlike else None
+    return float(_FORMULAS[family](a, b))
 
 
 class GridField:
@@ -156,7 +160,9 @@ class GridField:
     those; only the golden polish evaluates f again, pointwise.
 
     ``each_block(points, jet)``, if given, sees every block's jet too, so a
-    caller can reduce its own quantity in the same pass.
+    caller can reduce its own quantity in the same pass; that jet is of
+    order 3.  Otherwise the jets stop at the highest derivative the
+    families read: f' for the starlike ones, f'' for the others.
     """
 
     def __init__(self, f: FunctionExpr, sampler: DiskSampler = None,
@@ -164,8 +170,9 @@ class GridField:
         self.f = f
         self.sampler = sampler or DiskSampler()
         self._minima = {fam: Extremum() for fam in map(Family, families)}
+        order = 3 if each_block is not None else 2 if not _CONVEX.isdisjoint(self._minima) else 1
         for z in self.sampler._blocks(f.singular_points, f.exclusion_radius):
-            jet = f.jet(z)
+            jet = f.jet(z, order)
             if each_block is not None:
                 each_block(z, jet)
             for fam, vals in _functionals(self._minima, z, jet).items():

@@ -11,12 +11,12 @@ evaluation NaN-masks the offending entries instead, so grid sweeps can
 skip isolated bad points and count them.
 
 Jet3 arithmetic is the reference.  Maps parsed by ``expressions`` evaluate
-through an evaluator built once per map from the same outer-derivative
-helpers and from ``rule`` / ``linear_rule`` below, which compile each
-product, chain and linear rule once, for the kinds of its inputs, to one
-expression over the input tuples without the products a structural 0 or 1
-makes.
-The same evaluator's series mode uses the truncated Taylor series
+through evaluators that ``compiler`` builds once per map and order from the
+same outer-derivative helpers and from ``rule`` / ``linear_rule`` below,
+which compile each product, chain and linear rule once, for the kinds of
+its inputs and the order, to one expression over the input tuples without
+the products a structural 0 or 1 makes.  A built jet of order n < 3 holds
+None above entry n.  The series evaluator uses the truncated Taylor series
 recurrences at the end of this module, to any order.
 """
 
@@ -154,79 +154,96 @@ def _apply_mask(jet: Jet3, mask) -> Jet3:
 #
 # Each function is one "outer" helper: its derivatives (g0, g1, g2, g3) at
 # x = a.v0 plus the singular-point guard, returned as ``(g, mask)``.  The
-# jet_* functions below and the evaluator that ``expressions`` builds once
-# per map both call these helpers, so every derivative formula exists once.
-# The helpers enter no np.errstate: jet_* does that per function, the built
-# evaluator once per array call.
+# jet_* functions below and the evaluators that ``compiler`` builds per map
+# both call these helpers, so every derivative formula exists once.  A
+# helper computes only the derivatives through ``order`` (the guard always),
+# each by the same operations as at order 3; an entry above the order may be
+# None.  The helpers enter no np.errstate: jet_* does that per function, the
+# built evaluator once per array call.
 
 
-def reciprocal_outer(x):
+def reciprocal_outer(x, order=3):
     """Outer helper of 1/x."""
     mask = _guard(x, SINGULAR_TOL, DivisionAtZero, "division by zero value")
     w = 1.0 / np.where(mask, 1.0, x) if mask is not None else 1.0 / x
-    return (w, -w * w, 2.0 * w * w * w, -6.0 * w * w * w * w), mask
+    return (w,
+            -w * w if order > 0 else None,
+            2.0 * w * w * w if order > 1 else None,
+            -6.0 * w * w * w * w if order > 2 else None), mask
 
 
-def _exp_outer(x):
+def _exp_outer(x, order=3):
     e = np.exp(x)
     return (e, e, e, e), None
 
 
-def _log_outer(x):
+def _log_outer(x, order=3):
     mask = _guard(x, SINGULAR_TOL, BranchPointOrPole, "log at zero")
     if mask is not None:
         x = np.where(mask, 1.0, x)
-    w = 1.0 / x
-    return (np.log(x), w, -w * w, 2.0 * w * w * w), mask
+    w = 1.0 / x if order > 0 else None
+    return (np.log(x), w,
+            -w * w if order > 1 else None,
+            2.0 * w * w * w if order > 2 else None), mask
 
 
-def _sqrt_outer(x):
+def _sqrt_outer(x, order=3):
     mask = _guard(x, SINGULAR_TOL, BranchPointOrPole, "sqrt at zero")
     if mask is not None:
         x = np.where(mask, 1.0, x)
     s = np.sqrt(x)
-    s3 = s * s * s
-    return (s, 0.5 / s, -0.25 / s3, 0.375 / (s3 * s * s)), mask
+    s3 = s * s * s if order > 1 else None
+    return (s,
+            0.5 / s if order > 0 else None,
+            -0.25 / s3 if order > 1 else None,
+            0.375 / (s3 * s * s) if order > 2 else None), mask
 
 
-def _sin_outer(x):
-    s, c = np.sin(x), np.cos(x)
-    return (s, c, -s, -c), None
+def _sin_outer(x, order=3):
+    s = np.sin(x)
+    c = np.cos(x) if order > 0 else None
+    return (s, c, -s if order > 1 else None, -c if order > 2 else None), None
 
 
-def _cos_outer(x):
-    s, c = np.sin(x), np.cos(x)
-    return (c, -s, -c, s), None
+def _cos_outer(x, order=3):
+    c = np.cos(x)
+    s = np.sin(x) if order > 0 else None
+    return (c, -s if order > 0 else None, -c if order > 1 else None,
+            s if order > 2 else None), None
 
 
-def _tan_outer(x):
+def _tan_outer(x, order=3):
     mask = _guard(np.cos(x), SINGULAR_TOL, BranchPointOrPole, "tan at a pole")
     t = np.tan(x)
-    d1 = 1.0 + t * t
-    return (t, d1, 2.0 * t * d1, d1 * (2.0 + 6.0 * t * t)), mask
+    d1 = 1.0 + t * t if order > 0 else None
+    return (t, d1,
+            2.0 * t * d1 if order > 1 else None,
+            d1 * (2.0 + 6.0 * t * t) if order > 2 else None), mask
 
 
-def _cot_outer(x):
+def _cot_outer(x, order=3):
     s = np.sin(x)
     mask = _guard(s, SINGULAR_TOL, BranchPointOrPole, "cot at a pole")
     if mask is not None:
         s = np.where(mask, 1.0, s)
     c = np.cos(x) / s
-    d1 = -(1.0 + c * c)
-    return (c, d1, 2.0 * c * (1.0 + c * c), d1 * (2.0 + 6.0 * c * c)), mask
+    d1 = -(1.0 + c * c) if order > 0 else None
+    return (c, d1,
+            2.0 * c * (1.0 + c * c) if order > 1 else None,
+            d1 * (2.0 + 6.0 * c * c) if order > 2 else None), mask
 
 
 def pow_outer(c: float):
     """Outer helper of the principal power x^c (c real, not an integer)."""
 
-    def outer(x):
+    def outer(x, order=3):
         mask = _guard(x, SINGULAR_TOL, BranchPointOrPole, "non-integer power at zero")
         if mask is not None:
             x = np.where(mask, 1.0, x)
         g0 = np.power(x, c)
-        g1 = c * g0 / x
-        g2 = (c - 1.0) * g1 / x
-        g3 = (c - 2.0) * g2 / x
+        g1 = c * g0 / x if order > 0 else None
+        g2 = (c - 1.0) * g1 / x if order > 1 else None
+        g3 = (c - 2.0) * g2 / x if order > 2 else None
         return (g0, g1, g2, g3), mask
 
     return outer
@@ -351,12 +368,15 @@ BRANCHED = frozenset({"log", "sqrt"})
 # Each pruned rule is compiled once, for the kinds of its inputs, to one
 # expression over the input tuples A and B: the product z * z, both inputs
 # of kinds (VALUE, ONE, ZERO, ZERO), becomes
-# ``lambda A, B: (A[0] * B[0], B[0] + A[0], 2.0, 0.0)``.  It keeps every
+# ``lambda A, B: (A[0] * B[0], B[0] + A[0], 2.0, 0.0,)``.  It keeps every
 # remaining term and factor in the order the Jet3 methods evaluate them (a
 # coefficient first, products and sums left to right), so the results equal
 # the unpruned rules under ==.  Its source holds only entry indices, the
 # coefficients of the term tables and the literals 0.0 and 1.0; it reads
-# nothing but its arguments.
+# nothing but its arguments.  A rule compiled for an order n < 3 is the
+# same expression without the components above n, which no lower
+# component reads: component k of a product or a chain reads only entries
+# 0..k of its inputs.
 
 VALUE, ZERO, ONE, NONFINITE = 0, 1, 2, 3
 
@@ -392,8 +412,8 @@ def _sum(terms):
 
 
 def _compiled(args, components):
-    """The function ``lambda args: (c0, c1, c2, c3)`` of the component sources."""
-    return eval(f"lambda {args}: ({', '.join(components)})", {"__builtins__": {}})
+    """The function ``lambda args: (c0, ...)`` of the component sources."""
+    return eval(f"lambda {args}: ({', '.join(components)},)", {"__builtins__": {}})
 
 
 def _computed(indices, kinds):
@@ -422,25 +442,26 @@ _RULES = {"product": _LEIBNIZ, "chain": _CHAIN}
 
 
 @lru_cache(maxsize=None)
-def rule(name, kinds):
+def rule(name, kinds, order=3):
     """Compile the "product" (Leibniz) or "chain" rule for input entries of
     the given kinds, A's four and then B's, to one expression:
-    -> ((A, B) -> 4-tuple, output kinds).  The chain rule takes the outer
-    derivatives as A and the inner jet as B.  The value component is never
-    pruned."""
+    -> ((A, B) -> the components 0..order, the four output kinds).  The
+    chain rule takes the outer derivatives as A and the inner jet as B.  The
+    value component is never pruned."""
     terms = _RULES[name]
     src, out = [_sum(terms[0])], [_computed([i for _, idx in terms[0] for i in idx], kinds)]
     for k in (1, 2, 3):
         s, kind = _pruned(terms[k], kinds)
         src.append(s)
         out.append(kind)
-    return _compiled("A, B", src), tuple(out)
+    return _compiled("A, B", src[:order + 1]), tuple(out)
 
 
 @lru_cache(maxsize=None)
-def linear_rule(op, kinds):
-    """Compile a + b, a - b ((A, B) -> 4-tuple) or -a (A -> 4-tuple)
-    componentwise to one expression, for input entries of the given kinds."""
+def linear_rule(op, kinds, order=3):
+    """Compile a + b, a - b ((A, B) -> components) or -a (A -> components)
+    componentwise to one expression of the components 0..order, for input
+    entries of the given kinds (four per input) -> (function, output kinds)."""
     src, out = [], []
     for k in range(4):
         ka = kinds[k]
@@ -469,7 +490,7 @@ def linear_rule(op, kinds):
         else:
             src.append(f"A[{k}] + B[{k}]" if op == "+" else f"A[{k}] - B[{k}]")
             out.append(_computed([k, 4 + k], kinds))
-    return _compiled("A" if op == "neg" else "A, B", src), tuple(out)
+    return _compiled("A" if op == "neg" else "A, B", src[:order + 1]), tuple(out)
 
 
 # -- truncated Taylor series ------------------------------------------------

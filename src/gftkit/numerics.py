@@ -73,9 +73,17 @@ np.empty(64 * _RING_BLOCK_POINTS, dtype=complex)
 def ring_points(radii, phases, centers, radius: float) -> np.ndarray:
     """The points r e^{i theta}, ring by ring (``phases`` are the e^{i theta}),
     without those closer than ``radius`` to any of ``centers``."""
-    z = (radii[:, None] * phases[None, :]).ravel()
-    far = [np.abs(z - complex(c)) >= radius for c in centers]
-    return z[np.logical_and.reduce(far)] if far else z
+    z = radii[:, None] * phases[None, :]
+    keep = None
+    for c in dict.fromkeys(map(complex, centers)):
+        # |z - c| >= ||z| - |c||: a ring farther than the radius from |c|, with
+        # a margin for the rounding of |z|, keeps every point
+        near = np.abs(radii - abs(c)) <= radius * (1.0 + 1e-9) + 1e-12
+        if near.any():
+            if keep is None:
+                keep = np.ones(z.shape, dtype=bool)
+            keep[near] &= np.abs(z[near] - c) >= radius
+    return z.ravel() if keep is None else z[keep]
 
 
 def ring_blocks(radii, phases, centers, radius: float):
@@ -166,7 +174,7 @@ def golden_polish(fn, z0, f0: float, dr: float, dth: float, r_lo: float, r_hi: f
             v = fn(z)
         except GftError:
             return np.inf
-        return v if np.isfinite(v) else np.inf
+        return v if math.isfinite(v) else np.inf
 
     for _ in range(rounds):
         r, v = golden_min(lambda r: probe(r * np.exp(1j * th_w)),

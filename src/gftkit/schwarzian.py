@@ -50,7 +50,7 @@ def schwarzian_of_jet(jet: Jet3):
 
 def pre_schwarzian(f: FunctionExpr, z):
     """f''/f' at z; same scalar/array semantics as ``schwarzian``."""
-    jet = f.jet(z)
+    jet = f.jet(z, 2)
     scalar = is_scalar(z)
     if scalar and near_zero(jet.v1):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")

@@ -158,6 +158,8 @@ def verify_duality(
 
 
 _WITNESS_TEXT = "z + 1/z - 2"
+# parsed once, so its evaluators are built once per process
+_WITNESS = parse(_WITNESS_TEXT, singular_points=(0,))
 
 
 def verify_inclusions(
@@ -198,8 +200,7 @@ def verify_inclusions(
     bs0 = field.verdict(Family.BSSTAR, 0.0, tol)
     member_anywhere = any(holds)
     containment_ok = bs0.holds_on_samples or not member_anywhere
-    wit = GridField(parse(_WITNESS_TEXT, singular_points=(0,)), sampler,
-                    (Family.BCI, Family.BSSTAR))
+    wit = GridField(_WITNESS, sampler, (Family.BCI, Family.BSSTAR))
     wit_bs = wit.verdict(Family.BSSTAR, 0.0, tol)
     wit_bci = wit.verdict(Family.BCI, 0.0, tol)
     proper = wit_bs.holds_on_samples and not wit_bci.holds_on_samples

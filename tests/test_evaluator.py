@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gftkit import DiskSampler, compiler, compose_mobius, numerics, parse, schwarzian
-from gftkit.catalog import get_entry
+from gftkit.catalog import entries, get_entry
 from gftkit.errors import GftError
 from gftkit.expressions import _Add, _Const, _Div, _Fun, _Mul, _Neg, _Pow, _Sub, _Var
 from gftkit.families import GridField
 from gftkit.jets import ELEMENTARY, Jet3, jet_pow, variable
+from gftkit.theorems import dual_transform
 
 FUNCS = ("sin", "cos", "tan", "cot", "exp", "log", "sqrt")
 EXPONENTS = ("0", "1", "2", "3", "-1", "-2", "0.5", "-0.5", "1.5", "-2.25")
@@ -272,9 +273,9 @@ def test_schwarzian_is_mobius_and_reciprocal_invariant(text, mobius, zs):
 def test_each_map_builds_each_evaluator_once(monkeypatch):
     built = []
 
-    def counting(root, mode):
-        built.append((root, mode))
-        return build(root, mode)
+    def counting(root, mode, order=None):
+        built.append((root, mode, order))
+        return build(root, mode, order)
 
     build = compiler._build_path
     monkeypatch.setattr(compiler, "_build_path", counting)
@@ -286,7 +287,96 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
         schwarzian(f, 0.3 + 0.004j * k)
     f.series(0.5, 3)
     f.series(0.25, 8)
-    assert built == [(f.root, "array"), (f.root, "scalar"), (f.root, "series")]
+    # one build per (mode, order): the grid and the polish read f' and f'',
+    # the Schwarzian f''' too
+    assert built == [(f.root, "array", 2), (f.root, "scalar", 2), (f.root, "scalar", 3),
+                     (f.root, "series", None)]
+
+
+def _derived_maps():
+    for entry in entries():
+        f = entry.expr
+        h = dual_transform(f)
+        for name, g in (("f", f), ("h", h), ("h'", h.derivative()), ("1/f", 1.0 / f),
+                        ("T(f)", compose_mobius(f, 1.0, 2.0, 0.5, 3.0)), ("2f", 2.0 * f),
+                        ("if", 1j * f)):
+            yield pytest.param(g, id=f"{entry.name}:{name}")
+
+
+def _assert_leading_entries(f, z):
+    full = _outcome(f.jet, z)
+    for order in (0, 1, 2):
+        got = _outcome(lambda z: f.jet(z, order), z)
+        if isinstance(full, type):
+            assert got is full
+            continue
+        ref = _components(full)
+        for k, v in enumerate(_components(got)):
+            if k > order:
+                assert v is None, (order, k)
+            else:
+                assert type(v) is type(ref[k]), (order, k)
+                assert np.asarray(v).tobytes() == np.asarray(ref[k]).tobytes(), (order, k)
+
+
+SCALAR_POINTS = (0.5, 0.3 + 0.4j, -0.2 - 0.7j, 0.9j, 0.05 + 0.01j, 0.0, complex(-0.5, -0.0))
+ARRAY_POINTS = DiskSampler(rings=16, points_per_ring=64).points()
+
+
+@pytest.mark.parametrize("f", _derived_maps())
+def test_a_lower_order_jet_is_the_leading_entries_of_order_three(f):
+    for z in SCALAR_POINTS:
+        _assert_leading_entries(f, z)
+    _assert_leading_entries(f, ARRAY_POINTS)
+
+
+@pytest.mark.parametrize("order", [-1, 4, None])
+def test_a_jet_order_outside_zero_to_three_is_refused(order):
+    with pytest.raises(ValueError):
+        parse("z/4 + 1/z").jet(0.5, order)
+
+
+@settings(RANDOM, max_examples=100)
+@given(EXPRS, st.lists(POINTS, min_size=1, max_size=6))
+def test_lower_orders_of_random_trees_are_leading_entries(text, zs):
+    f = parse(text)
+    for z in zs:
+        _assert_leading_entries(f, z)
+    _assert_leading_entries(f, np.array(zs))
+
+
+def _nodes(node):
+    children = [getattr(node, a) for a in ("left", "right", "child") if hasattr(node, a)]
+    return 1 + sum(_nodes(c) for c in children)
+
+
+def _steps(f, mode="array"):
+    builder = compiler._Builder(mode, 3)
+    builder.root(f.root)
+    return len(builder.steps)
+
+
+def test_structurally_equal_subtrees_become_one_step():
+    assert _steps(parse("sin(z)*sin(z)")) == 2  # sin(z), then the product
+    assert _steps(parse("(z+1)/(z+1)^2")) == 4  # z+1, its square, 1/square, the product
+    h = dual_transform(get_entry("inverse_log").expr)
+    assert _steps(h) < _nodes(h.root)
+    # one evaluation of each distinct subtree gives what the tree walk gives
+    for z in (0.5, np.array([0.5, -0.3 + 0.2j])):
+        for got, ref in zip(_components(h.jet(z)), _components(_reference(h, z))):
+            _assert_same(got, ref)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1 + 0j), (0.0, -0.0)])
+def test_equal_constants_of_other_type_or_sign_stay_apart(a, b):
+    # 1.0 == 1+0j and 0.0 == -0.0, but the scalar path rounds them apart
+    root = _Mul(_Add(_Const(a), _Var()), _Add(_Const(b), _Var()))
+    f = type(parse("z"))(root)
+    for mode in ("scalar", "array", "series"):
+        assert _steps(f, mode) == 3, mode
+    for z in (complex(-0.0, -0.0), 0.5, np.array([complex(-0.0, -0.0), 0.5])):
+        for got, ref in zip(_components(f.jet(z)), _components(_reference(f, z))):
+            _assert_same(got, ref)
 
 
 @pytest.mark.parametrize("n", [16383, 16384, 32768])

@@ -23,7 +23,7 @@ from gftkit import (
 from gftkit import catalog, numerics
 from gftkit.catalog import get_entry
 from gftkit.cli import main
-from gftkit.families import GridField
+from gftkit.families import GridField, _functionals
 from gftkit.errors import (
     DivisionAtZero,
     EvaluationFailed,
@@ -123,6 +123,37 @@ def test_sampler_excludes_declared_singularities():
     assert np.min(np.abs(pts - 0.5)) >= 0.05
 
 
+def _every_point_tested(radii, phases, centers, radius):
+    """ring_points as it tested every point against every centre."""
+    z = (radii[:, None] * phases[None, :]).ravel()
+    far = [np.abs(z - complex(c)) >= radius for c in centers]
+    return z[np.logical_and.reduce(far)] if far else z
+
+
+def test_balls_are_tested_only_on_the_rings_they_reach():
+    rng = np.random.default_rng(26)
+    for draw in range(1000):
+        radius = 10.0 ** rng.uniform(-4, -0.5)
+        centers = [0.0, *(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
+                          for _ in range(rng.integers(0, 3)))]
+        if draw % 3 == 0:
+            centers.append(0j)  # a b-form lists the origin twice
+        radii = np.sort(rng.uniform(0, 1, rng.integers(1, 9)))
+        c = complex(centers[-1])
+        if draw % 2:  # a ring at exactly the radius from a centre's circle
+            radii[0] = abs(c) + radius
+        phases = np.exp(1j * (rng.uniform() + 2 * np.pi * np.arange(16) / 16))
+        got = numerics.ring_points(radii, phases, centers, radius)
+        want = _every_point_tested(radii, phases, centers, radius)
+        assert got.tobytes() == want.tobytes(), draw
+    # the Schwarzian norm's first ring lies inside the origin's ball
+    radii, phases = np.linspace(1e-4, 1 - 1e-4, 64), np.exp(2j * np.pi * np.arange(512) / 512)
+    for centers in ((0j,), (0.0, 0j), (0.0, 0.5)):
+        got = numerics.ring_points(radii, phases, centers, 1e-3)
+        assert got.tobytes() == _every_point_tested(radii, phases, centers, 1e-3).tobytes()
+    assert got.size == 63 * 512 - np.sum(np.abs(radii[:, None] * phases - 0.5) < 1e-3)
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         DiskSampler(r_max=1.0)
@@ -149,6 +180,21 @@ def test_grid_and_pointwise_functionals_share_one_formula():
             assert value == v.witness_value, (entry.name, fam.value)
             checked += 1
     assert checked >= 50
+
+
+def test_a_scalar_functional_is_the_one_point_formula():
+    # the scalar path skips the dict and the errstate of _functionals, nothing else
+    zs = [0.3 + 0.4j, np.complex128(-0.5 + 0.1j), 0.95, 0.05j, complex(-0.2, -0.0)]
+    for entry in catalog.entries():
+        f = entry.expr
+        for fam in Family:
+            for z in zs:
+                try:
+                    got = functional_value(f, fam, z)
+                except (LocallyNonUnivalent, DivisionAtZero):
+                    continue
+                want = float(_functionals((fam,), z, f.jet(z, 2))[fam])
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_koebe_is_not_convex_witness_on_negative_axis():
@@ -257,10 +303,10 @@ def test_each_map_is_evaluated_once_per_grid(monkeypatch, capsys):
     grid_calls = []
     jet = FunctionExpr.jet
 
-    def counting_jet(self, z):
+    def counting_jet(self, z, order=3):
         if np.ndim(z):
             grid_calls.append((self, np.size(z)))
-        return jet(self, z)
+        return jet(self, z, order)
 
     def count(run):
         grid_calls.clear()
