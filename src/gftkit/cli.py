@@ -44,13 +44,24 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}; use forms like 0.5 or 0.3+0.4i")
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a NaN or infinite tolerance would flip verdicts silently."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(p, handler, *modules):
     """``modules``: what ``handler`` runs, for ``main`` to import before the
     clock; gftkit's modules relative (".palpha"), and numpy's lazily loaded
     submodules that the numerics reach."""
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for quasi-random sampling")
-    p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="verdict tolerance")
     p.set_defaults(func=handler, modules=modules)
 
 

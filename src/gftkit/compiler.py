@@ -16,7 +16,6 @@ import numpy as np
 from . import jets
 from .errors import GftError
 from .expressions import _Add, _Bin, _Const, _Div, _Fun, _Mul, _Neg, _Pow, _Sub, _Var
-from .jets import Jet3
 from .numerics import _RING_BLOCK_POINTS
 
 
@@ -47,11 +46,15 @@ from .numerics import _RING_BLOCK_POINTS
 # operation, folded or not, is keyed by its name, its parameter (a function
 # name, an exponent) and its children's plan numbers, so keying stays linear
 # in the size of the tree; a node object that the tree holds more than once
-# is keyed once.  x/y is the product of x and the reciprocal of y, f^-n the
-# reciprocal of f^n, and f^0 the literal 1+0j.
+# is keyed once.  x/y is the product of x and the reciprocal of y, and f^-n
+# the reciprocal of f^n.  f^n is the product steps of jets._int_pow's
+# repeated squaring from the literal 1+0j (f^0), whose product makes a real
+# entry complex and flips signed zeros as the walk's does; z^2 and z*z share
+# a step.  Only a series f^n of a non-constant f is one step, the
+# jets.series_int_pow recurrence.
 #
-# The orders.  In the two jet modes the seed is z and the entries a tuple
-# (v0, ..., vn) through the evaluator's order n: jets.rule and
+# The orders.  In the two jet modes the seed is z and each entry, the jet at
+# the root included, a tuple (v0, ..., vn) through the order n: jets.rule and
 # jets.linear_rule compile each pruned rule once, for the kinds of its
 # inputs' four entries and the order, to one expression over those tuples,
 # and the outer helpers compute only the derivatives through n.  Component k
@@ -85,7 +88,7 @@ class _Plan(NamedTuple):
 _FOLD, _SCALAR, _ARRAY, _SERIES = "fold", "scalar", "array", "series"
 _FULL = (jets.VALUE,) * 4  # kinds that prune nothing
 _FOLDING = (_Plan(_FULL),) * 2  # the children of an unpruned rule, which folds constants
-_IDENTITY = (complex(1.0), 0.0, 0.0, 0.0)  # the jet of the constant 1, as Jet3 seeds it
+_ONE = complex(1.0)  # the constant 1, as jets._int_pow seeds its product
 _SEED, _UNREAD = 0, 1  # the slots of the seed and of results that nothing reads
 # one value per type a scalar walk holds, away from every singular point
 _SAMPLES = {t: t(1.5 + 0.5j) if issubclass(t, complex) else t(1.5)
@@ -197,38 +200,6 @@ def _outer_op(outer, series, guarded, branched=False):
     return compile_op
 
 
-def _int_pow_op(n):
-    """f^n for an integer n >= 1 by repeated squaring, as jets._int_pow."""
-
-    def compile_op(plans, mode, order):
-        if mode == _SERIES:
-            return jets.series_int_pow(n), _FULL
-        base = plans[0].kinds
-        one = _held(_IDENTITY[:order + 1], mode)
-        res, steps, m = _const_kinds(_IDENTITY, mode), [], n
-        while m:
-            if m & 1:
-                r, res = jets.rule("product", res + base, order)
-                steps.append((True, r))
-            m >>= 1
-            if m:
-                r, base = jets.rule("product", base + base, order)
-                steps.append((False, r))
-
-        def f(A):
-            result, b = one, A
-            for to_result, r in steps:
-                if to_result:
-                    result = r(result, b)
-                else:
-                    b = r(b, b)
-            return result
-
-        return f, res
-
-    return compile_op
-
-
 _RECIPROCAL = _outer_op(jets.reciprocal_outer, jets.series_reciprocal, True)
 _FUNCTIONS = {name: _outer_op(outer, jets.SERIES[name], name in jets.GUARDED, name in jets.BRANCHED)
               for name, outer in jets.OUTER.items()}
@@ -287,10 +258,18 @@ class _Builder:
                 op = _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True)
                 return self._op(op, ("^", c), a)
             n = int(c)
-            if n == 0:  # the constant 1; the base's steps run for their errors
-                return self._literal(_IDENTITY[0])
-            p = self._op(_int_pow_op(abs(n)), ("^", abs(n)), a)
-            return p if n > 0 else self._op(_RECIPROCAL, "1/", p)
+            if n and self.mode == _SERIES and self.plans[a].const is None:
+                pw = jets.series_int_pow(abs(n))  # one step, not one per squaring
+                p = self._op(lambda *_: (pw, _FULL), ("^", abs(n)), a)
+            else:  # product steps by repeated squaring from the jet of 1, as jets._int_pow
+                p, m = self._literal(_ONE), abs(n)
+                while m:
+                    if m & 1:
+                        p = self._op(_product_op, "*", p, a)
+                    m >>= 1
+                    if m:
+                        a = self._op(_product_op, "*", a, a)
+            return p if n >= 0 else self._op(_RECIPROCAL, "1/", p)
         raise TypeError(type(node))  # pragma: no cover
 
     def _keyed(self, key, plan, inputs=None, fn=None) -> int:
@@ -380,8 +359,8 @@ class _Builder:
 
 
 def _build_path(root, mode, order=None):
-    """The evaluator of the tree ``root`` in ``mode``: z -> Jet3 through
-    ``order`` (0 to 3; None above it) for scalar or for array z, or
+    """The evaluator of the tree ``root`` in ``mode``: z -> the tuple
+    (f, f', ..., f^(order)), order 0 to 3, for scalar or for array z, or
     (x0, n) -> the complex Taylor coefficients 0..n about the real point x0."""
     if mode == _SERIES:
         order = 3
@@ -400,24 +379,24 @@ def _build_path(root, mode, order=None):
 
         return series
 
-    tail, pad = (1.0, 0.0, 0.0)[:order], (None,) * (3 - order)
+    tail = (1.0, 0.0, 0.0)[:order]
     if mode == _SCALAR:
         casts = [type(w) if type(w) is not type(o) else None for w, o in zip(*plan.types)]
         if any(casts):
             def jet(z):
                 out = run((complex(z),) + tail)
-                return Jet3(*(v if c is None else c(v) for v, c in zip(out, casts)), *pad)
+                return tuple(v if c is None else c(v) for v, c in zip(out, casts))
         else:
             def jet(z):
-                return Jet3(*run((complex(z),) + tail), *pad)
+                return run((complex(z),) + tail)
         return jet
 
     if plan.const is not None:  # a constant map (or f^0) keeps the walk's scalars
-        const = plan.const[:order + 1] + pad
+        const = plan.const[:order + 1]
 
         def jet(z):
             run((z,) + tail)
-            return Jet3(*const)
+            return const
         return jet
 
     def jet(z):
@@ -426,8 +405,8 @@ def _build_path(root, mode, order=None):
             if z.size <= _RING_BLOCK_POINTS:
                 out = run((z,) + tail)
                 # entries that do not vary with z are scalars or 1-element arrays until here
-                return Jet3(*(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
-                              for v in out), *pad)
+                return tuple(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
+                             for v in out)
             # numpy reorders complex products on temporaries of 16 384 points or
             # more, which moves last bits: a longer array runs in blocks, so a
             # point's jet does not depend on the length of its array
@@ -436,6 +415,6 @@ def _build_path(root, mode, order=None):
                 block = slice(i, i + _RING_BLOCK_POINTS)
                 for whole, v in zip(out, run((flat[block],) + tail)):
                     whole[block] = v
-        return Jet3(*(v.reshape(z.shape) for v in out), *pad)
+        return tuple(v.reshape(z.shape) for v in out)
 
     return jet

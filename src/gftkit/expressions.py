@@ -24,13 +24,9 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import DegenerateMobius, EvaluationFailed, ExprSyntaxError
 from .shared import is_scalar
-
-if TYPE_CHECKING:
-    from .jets import Jet3
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
 
@@ -415,9 +411,9 @@ class FunctionExpr:
     singular_points: tuple = ()
     exclusion_radius: float = 1e-3
 
-    def jet(self, z, order: int = 3) -> Jet3:
-        """Value and first ``order`` derivatives (order 0 to 3) of f at a
-        scalar or array z; the entries above the order are None."""
+    def jet(self, z, order: int = 3) -> tuple:
+        """(f, f', ..., f^(order)) at a scalar or array z: the value and the
+        first ``order`` derivatives (order 0 to 3), order + 1 entries."""
         key = ("scalar" if is_scalar(z) else "array", order)
         evaluator = self._evaluators.get(key)
         if evaluator is None:
@@ -447,7 +443,7 @@ class FunctionExpr:
         return {k: v for k, v in self.__dict__.items() if k not in ("_evaluators", "series")}
 
     def value(self, z):
-        return self.jet(z, 0).v0
+        return self.jet(z, 0)[0]
 
     def derivative(self) -> "FunctionExpr":
         return replace(self, root=self.root.diff())
@@ -515,8 +511,8 @@ def const_expr(c, variable: str = "z") -> FunctionExpr:
     return FunctionExpr(_Const(complex(c)), variable)
 
 
-def eval_jet(f: FunctionExpr, z) -> Jet3:
-    """Value and first three derivatives of f at z (scalar or array)."""
+def eval_jet(f: FunctionExpr, z) -> tuple:
+    """(f, f', f'', f''') at z (scalar or array), as ``f.jet(z)`` gives it."""
     return f.jet(z)
 
 

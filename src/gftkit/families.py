@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivisionAtZero, LocallyNonUnivalent, UnivalenceNotChecked
 from .expressions import FunctionExpr
-from .jets import Jet3, near_zero
+from .jets import near_zero
 from .numerics import (
     Extremum,
     golden_polish,
@@ -115,13 +115,13 @@ _FORMULAS = {
 }
 
 
-def _functionals(families, z, jet: Jet3) -> dict:
+def _functionals(families, z, jet) -> dict:
     """{family: its functional} for each of ``families``, from a jet of f at
     z; NaN where it is undefined.  Each complex quotient is formed once per
     point, and only if one of the families reads it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = 1.0 + np.real(z * jet.v2 / jet.v1) if not _CONVEX.isdisjoint(families) else None
-        b = np.real(z * jet.v1 / jet.v0) if not _STARLIKE.isdisjoint(families) else None
+        a = 1.0 + np.real(z * jet[2] / jet[1]) if not _CONVEX.isdisjoint(families) else None
+        b = np.real(z * jet[1] / jet[0]) if not _STARLIKE.isdisjoint(families) else None
         return {fam: _FORMULAS[fam](a, b) for fam in families}
 
 
@@ -140,14 +140,14 @@ def functional_value(f: FunctionExpr, family: Family, z):
         return 1.0
     jet = f.jet(z, 2)
     convex, starlike = family in _CONVEX, family in _STARLIKE
-    if convex and near_zero(jet.v1):
+    if convex and near_zero(jet[1]):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if starlike and near_zero(jet.v0):
+    if starlike and near_zero(jet[0]):
         raise DivisionAtZero(f"f({z}) = 0 to tolerance")
     # the operations of _functionals on one point: ``.real`` is what np.real
     # reads, and the guards leave no division by zero to silence
-    a = 1.0 + (z * jet.v2 / jet.v1).real if convex else None
-    b = (z * jet.v1 / jet.v0).real if starlike else None
+    a = 1.0 + (z * jet[2] / jet[1]).real if convex else None
+    b = (z * jet[1] / jet[0]).real if starlike else None
     return float(_FORMULAS[family](a, b))
 
 

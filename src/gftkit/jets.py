@@ -15,9 +15,11 @@ through evaluators that ``compiler`` builds once per map and order from the
 same outer-derivative helpers and from ``rule`` / ``linear_rule`` below,
 which compile each product, chain and linear rule once, for the kinds of
 its inputs and the order, to one expression over the input tuples without
-the products a structural 0 or 1 makes.  A built jet of order n < 3 holds
-None above entry n.  The series evaluator uses the truncated Taylor series
-recurrences at the end of this module, to any order.
+the products a structural 0 or 1 makes; an integer power is the product
+rules of ``_int_pow``'s repeated squaring.  A built jet of order n is the
+tuple (f, f', ..., f^(n)) of n + 1 entries that those rules compute.  The
+series evaluator uses the truncated Taylor series recurrences at the end
+of this module, to any order.
 """
 
 from __future__ import annotations

@@ -67,7 +67,8 @@ class QFunction:
     with the same checks and results.  An expression is screened once, at
     construction, on fixed probe points in (0, 1): ValueError if q takes a
     complex value there (|Im q| > 1e-12 max(1, |Re q|); non-finite values
-    are skipped).
+    are skipped).  A constant or a table that is not finite is refused at
+    construction (ValueError).
     """
 
     kind: str
@@ -79,6 +80,8 @@ class QFunction:
     @classmethod
     def constant(cls, c: float) -> "QFunction":
         c = float(c)
+        if not math.isfinite(c):
+            raise ValueError(f"constant q = {c} is not finite")
         if c < 0.0:
             raise NonnegativityViolated(f"constant q = {c} < 0")
         return cls("constant", repr(c), lambda x: np.full_like(np.asarray(x, float), c),
@@ -113,6 +116,11 @@ class QFunction:
         vs = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
             raise ValueError("need matching 1-d sample arrays with >= 2 points")
+        for what, a in (("abscissa", xs), ("value", vs)):
+            finite = np.isfinite(a)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"sample {what} {i} is {a[i]}, not finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         if vs.min() < _NEG_TOL:

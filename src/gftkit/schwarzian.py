@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvaluationFailed, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
-from .jets import Jet3, near_zero
+from .jets import near_zero
 from .numerics import Extremum, golden_polish, ring_blocks
 from .shared import is_scalar
 
@@ -29,7 +29,7 @@ def schwarzian(f: FunctionExpr, z):
     """
     jet = f.jet(z)
     if is_scalar(z):
-        if near_zero(jet.v1):
+        if near_zero(jet[1]):
             raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
         # no np.errstate here (it costs more than the formula): a jet that
         # overflowed may warn, as its own evaluation already can
@@ -37,12 +37,12 @@ def schwarzian(f: FunctionExpr, z):
     return schwarzian_of_jet(jet)
 
 
-def _schwarzian(jet: Jet3):
-    w = jet.v2 / jet.v1
-    return jet.v3 / jet.v1 - 1.5 * w * w
+def _schwarzian(jet):
+    w = jet[2] / jet[1]
+    return jet[3] / jet[1] - 1.5 * w * w
 
 
-def schwarzian_of_jet(jet: Jet3):
+def schwarzian_of_jet(jet):
     """S_f from a jet of f; NaN (no raise) where f' = 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _schwarzian(jet)
@@ -52,10 +52,10 @@ def pre_schwarzian(f: FunctionExpr, z):
     """f''/f' at z; same scalar/array semantics as ``schwarzian``."""
     jet = f.jet(z, 2)
     scalar = is_scalar(z)
-    if scalar and near_zero(jet.v1):
+    if scalar and near_zero(jet[1]):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = jet.v2 / jet.v1
+        w = jet[2] / jet[1]
     return complex(w) if scalar else w
 
 

@@ -95,6 +95,16 @@ def test_usage_errors_exit_two():
         main(["classify", "--expr", "1/z", "--family", "nope"])
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_a_usage_error(tol, capsys):
+    # a NaN tolerance made a holding check fail, an infinite one every check hold
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--catalog", "cot_scaled_a030", "--family", "bc", "--alpha", "0.9",
+              "--tol", tol, "--json"] + FAST)
+    assert exc.value.code == 2
+    assert f"need a finite tolerance >= 0, got {tol!r}" in capsys.readouterr().err
+
+
 def test_evaluation_errors_exit_two(capsys):
     assert main(["classify", "--catalog", "no_such_entry", "--family", "bc"]) == 2
     assert "error:" in capsys.readouterr().err

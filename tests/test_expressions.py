@@ -76,10 +76,10 @@ def test_jet_components_are_successive_derivatives():
     d1 = f.derivative()
     d2 = d1.derivative()
     z = _samples(20)
-    jet = eval_jet(f, z)
-    assert np.allclose(jet.v1, d1.value(z), rtol=1e-13, atol=0)
-    assert np.allclose(jet.v2, d2.value(z), rtol=1e-12, atol=0)
-    assert np.allclose(jet.v3, d2.derivative().value(z), rtol=1e-12, atol=0)
+    _, j1, j2, j3 = eval_jet(f, z)
+    assert np.allclose(j1, d1.value(z), rtol=1e-13, atol=0)
+    assert np.allclose(j2, d2.value(z), rtol=1e-12, atol=0)
+    assert np.allclose(j3, d2.derivative().value(z), rtol=1e-12, atol=0)
 
 
 # -- syntax errors: offsets and expected-token sets -------------------------

@@ -62,6 +62,28 @@ def test_nonnegativity_is_enforced():
     assert tiny(1.0) == 0.0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: QFunction.constant(math.nan), "constant q = nan is not finite"),
+    (lambda: QFunction.constant(math.inf), "constant q = inf is not finite"),
+    (lambda: QFunction.constant(-math.inf), "constant q = -inf is not finite"),
+    (lambda: QFunction.from_samples([0, math.nan, 1], [1, 1, 1]), "sample abscissa 1 is nan"),
+    (lambda: QFunction.from_samples([0, 0.5, 1], [1, 1, math.inf]), "sample value 2 is inf"),
+    (lambda: QFunction.from_samples([0, 0.5, 1], [math.nan, 1, 1]), "sample value 0 is nan"),
+])
+def test_non_finite_input_is_refused_by_name(build, message):
+    # a NaN abscissa passed the ordering check and a later integral read
+    # satisfied; a non-finite constant ended in a step size underflow
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_the_cli_names_a_non_finite_q_constant(capsys):
+    from gftkit.cli import main
+
+    assert main(["palpha", "--q-const", "nan", "--alpha", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: constant q = nan is not finite\n"
+
+
 def test_scalar_calls_match_the_array_path_bit_for_bit():
     qs = [
         QFunction.constant(2.5),
@@ -75,8 +97,8 @@ def test_scalar_calls_match_the_array_path_bit_for_bit():
             assert type(v) is float
             assert v == q(np.array([x]))[0]
             assert math.copysign(1.0, v) == math.copysign(1.0, q(np.array([x]))[0])
-    # NaN passes through both paths as NaN
-    nan_q = QFunction.from_samples([0.0, 1.0], [math.nan, 1.0])
+    # NaN passes through both paths as NaN (a table refuses one at construction)
+    nan_q = QFunction.from_expression("x + 0*exp(800)")
     assert math.isnan(nan_q(0.5)) and math.isnan(nan_q(np.array([0.5]))[0])
     with pytest.raises(NonnegativityViolated, match=r"q\(0\.2\) = -0\.3 < 0"):
         QFunction.from_expression("x - 0.5")(0.2)
