@@ -8,6 +8,7 @@ values."""
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,6 +211,15 @@ def richardson(values, ratio: float = 2.0) -> np.ndarray:
 _RING_TAIL_TERMS = 4
 
 
+@lru_cache(maxsize=4)
+def _roots_of_unity(m: int):
+    """(w^j, j) for j < m, w = e^{2 pi i / m}: read-only, shared by every ring of m samples."""
+    k = np.arange(m)
+    roots = np.exp(2j * np.pi * k / m)
+    k.flags.writeable = roots.flags.writeable = False
+    return roots, k
+
+
 def ring_taylor(p_at, centers, phases, radius: float, m: int):
     """Taylor coefficients of p along directions, from m samples on a circle.
 
@@ -232,14 +242,14 @@ def ring_taylor(p_at, centers, phases, radius: float, m: int):
     """
     centers = np.asarray(centers, dtype=complex)
     phases = np.asarray(phases, dtype=complex)
-    ring = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    points = centers[:, None] + phases[:, None] * ring
+    roots, k = _roots_of_unity(m)
+    points = centers[:, None] + phases[:, None] * (radius * roots)
     samples = np.broadcast_to(np.asarray(p_at(points), dtype=complex), points.shape)
     with np.errstate(invalid="ignore"):  # a non-finite sample spoils its ray only
         b = np.fft.fft(samples, axis=1) / m
         size = np.abs(b)
         tail = np.max(size[:, -_RING_TAIL_TERMS:], axis=1) / np.maximum(1.0, np.max(size, axis=1))
-        coef = b / radius ** np.arange(m)
+        coef = b / radius ** k
     return coef, np.where(np.isfinite(samples).all(axis=1), tail, np.inf), samples
 
 

@@ -95,6 +95,8 @@ class QFunction:
         with np.errstate(all="ignore"):
             v = np.asarray(e.value(_PROBES.astype(complex)), dtype=complex)
         v = np.broadcast_to(v, _PROBES.shape)  # a constant evaluates to a scalar
+        if not np.isfinite(v).any():
+            raise ValueError(f"coefficient {e} is not finite at any probe point of (0, 1)")
         bad = np.isfinite(v) & (np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v.real)))
         if bad.any():
             i = int(np.argmax(bad))

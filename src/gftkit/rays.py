@@ -12,7 +12,10 @@ call on one shared step in t; ``solve_ray`` is the one-ray case.  Each step
 reads the coefficient's Taylor series about the step's start from values
 of p on a small circle (a Cauchy ring, ``numerics.ring_taylor``): m
 samples and one FFT per ray, so p needs no series of its own, and a plain
-callable works as well as an expression.  The series of v and u follow from
+callable works as well as an expression.  p is sampled one ring per call:
+it maps the complex array of a step's ring points, (rays, m), to values of
+the same shape, or to a scalar that is broadcast; a callable that takes
+only scalars fails on the first ring.  The series of v and u follow from
 (k+2)(k+1) w_{k+2} = -sum_j q_j w_{k-j}, q = e^{2 i theta} p, and stay as
 the dense output the reporting nodes are read from.  The step is the
 shortest over the rays of what the decay of the w coefficients allows,
@@ -23,20 +26,21 @@ exactly from (v, v_t, u, u_t) = (0, e^{i theta}, 1, 0), even where f has
 its declared simple pole at 0 and S_f / 2 cannot be evaluated there.  The
 ring radius follows the decay of the ring coefficients; a ring whose
 aliasing tail is too large (a singularity of p close by), or one whose
-points off the ray hit a non-finite value or a GftError (a ring point can
-land on a declared pole), is shrunk and sampled again.  A non-finite
-sample at a point of the solved segment [0, r_max] of a ray raises
-NonAnalyticSample, naming the ray; a ring radius that has to shrink below
-_R_MIN raises StepSizeUnderflow.
+points off the ray hit a non-finite value (a ring point can land on a
+declared pole), is shrunk and sampled again.  A non-finite sample at a
+point of the solved segment [0, r_max] of a ray raises NonAnalyticSample,
+naming the ray; a ring radius that has to shrink below _R_MIN raises
+StepSizeUnderflow; an error that p raises propagates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import GftError, NonAnalyticSample, StepSizeUnderflow
+from .errors import NonAnalyticSample, StepSizeUnderflow
 from .expressions import FunctionExpr
 from .families import DiskSampler, Family, membership
 from .numerics import ring_taylor, unique_sorted
@@ -61,6 +65,11 @@ _NOISE = 1e-14
 # ring radii: the first ring's and the largest; below the smallest, the stepper gives up
 _R_MAX, _R_MIN = 1.0, 1e-8
 _INV = 1.0 / (np.arange(2, _ORDER + 1) * np.arange(1, _ORDER))  # 1 / ((k+2)(k+1))
+_K = np.arange(_ORDER + 1)  # the orders of the step polynomials
+_RING_K = np.arange(_RING)  # the orders of the ring coefficients
+# the orders that _w_step and _reach read the decay from, and their reciprocals
+_W_TAIL_K, _MID_K = _K[_ORDER // 2:], _RING_K[_RING // 2:_RING - 4]
+_INV_W_TAIL_K, _INV_MID_K = 1.0 / _W_TAIL_K[:, None, None], 1.0 / _MID_K
 # every ray reports rho = 0 and the union of 64 geometric and _N_NODES even
 # radii from min(_FIRST_NODE, r_max / 8) to r_max
 _FIRST_NODE = 1e-3
@@ -101,26 +110,15 @@ def solve_ray(
     """Both normalized solutions along one ray, reported on >= 257 radii,
     solved to relative tolerance 1e-10.
 
-    ``p`` is a FunctionExpr, evaluated on a whole ring in one array call,
-    or a plain callable z -> complex, called at a scalar z; a GftError from
-    such a call counts as a non-finite sample.  A non-finite coefficient
-    sample on the ray up to r_max raises NonAnalyticSample.
+    ``p`` is a FunctionExpr or a plain callable, sampled one ring per
+    call: it maps a complex array of ring points, shape (1, 32), to values
+    of the same shape, or to a scalar that is broadcast.  A callable that
+    takes only scalars fails on the first ring, and an error that p raises
+    propagates.  A non-finite coefficient sample on the ray up to r_max
+    raises NonAnalyticSample.
     """
-    if isinstance(p, FunctionExpr):
-        p_at = p.value
-    else:
-        def p_at(z):
-            return np.array([_scalar_sample(p, w) for w in z.ravel()]).reshape(z.shape)
-
-    (ray,) = _solve_rays(p_at, [theta], r_max=r_max)
+    (ray,) = _solve_rays(p.value if isinstance(p, FunctionExpr) else p, [theta], r_max=r_max)
     return ray
-
-
-def _scalar_sample(p, z) -> complex:
-    try:
-        return complex(p(complex(z)))
-    except GftError:
-        return complex("nan")
 
 
 def _solve_rays(
@@ -145,8 +143,8 @@ def _solve_rays(
     phase = np.exp(1j * thetas)
     minus_phase2 = -phase * phase
     eps = _REL_TOL / _ORDER  # w_t carries ~_ORDER times w's truncation error
-    first = min(_FIRST_NODE, r_max / 8.0)
-    nodes = unique_sorted(np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES))
+    rho_all = _reporting_radii(r_max)
+    nodes = rho_all[1:]
     # (w, w_t) x (v, u) x ray at the step start; (w, w_t) x radius x (v, u) x ray
     start = np.zeros((2, 2, n), dtype=complex)
     start[1, 0], start[0, 1] = phase, 1.0
@@ -186,7 +184,6 @@ def _solve_rays(
     out[1] *= np.conj(phase)  # d/dz = e^{-i theta} d/dt
     out[1, 0, 0] = 1.0  # v_z(0), not its rounded e^{-i theta} e^{i theta}
     v, u = np.ascontiguousarray(out.transpose(2, 0, 3, 1))  # (v, v_z) and (u, u_z): ray x radius
-    rho_all = np.concatenate([[0.0], nodes])
     return [
         RaySolution(theta=float(thetas[k]), rho=rho_all, v=v[0, k], v_z=v[1, k], u=u[0, k],
                     u_z=u[1, k], n_rhs=n_p)
@@ -194,16 +191,26 @@ def _solve_rays(
     ]
 
 
+@lru_cache(maxsize=8)
+def _reporting_radii(r_max: float) -> np.ndarray:
+    """rho = 0 and the reporting nodes of a ray solved to r_max; read-only,
+    because every solve to that r_max shares the one array."""
+    first = min(_FIRST_NODE, r_max / 8.0)
+    nodes = unique_sorted(np.geomspace(first, r_max, 64), np.linspace(first, r_max, _N_NODES))
+    rho = np.concatenate([[0.0], nodes])
+    rho.flags.writeable = False
+    return rho
+
+
 def _reach(coef, radius: float) -> float:
     """The smallest over the rays of the coefficient's estimated radius of
     convergence, radius / max_k (|b_k| / scale)^(1/k) over the middle ring
     coefficients b_k = coef_k radius^k that stand above roundoff; inf where
     none does (a polynomial p), and rays with non-finite samples skipped."""
-    k = np.arange(_RING // 2, _RING - 4)
-    b = np.abs(coef) * radius ** np.arange(_RING)
+    b = np.abs(coef) * radius ** _RING_K
     with np.errstate(invalid="ignore"):  # rows with non-finite samples are NaN and read 0
-        rel = b[:, k] / np.maximum(1.0, np.max(b, axis=1, keepdims=True))
-        worst = np.max(np.where(rel > _NOISE, rel ** (1.0 / k), 0.0))
+        rel = b[:, _MID_K] / np.maximum(1.0, np.max(b, axis=1, keepdims=True))
+        worst = np.max(np.where(rel > _NOISE, rel ** _INV_MID_K, 0.0))
     return radius / worst if worst > 0.0 else np.inf
 
 
@@ -226,13 +233,12 @@ def _w_step(W, h: float, eps: float) -> float:
     each solution's scale |w_0| + h |w_1|, as palpha._y_step: h = rho
     eps^(1/_ORDER), rho estimated as min_j (scale / |w_j|)^(1/j) over the
     last _ORDER/2 coefficients, minimized over v, u and the rays."""
-    j = np.arange(_ORDER // 2, _ORDER + 1)
-    size = np.abs(W[j])
+    size = np.abs(W[_W_TAIL_K])
     shrink = eps ** (1.0 / _ORDER)
     with np.errstate(divide="ignore"):
         for _ in range(2):  # the scale shrinks with h: one more pass tightens it
             scale = np.abs(W[0]) + h * np.abs(W[1])
-            h = min(h, shrink * float(np.min((scale / size) ** (1.0 / j[:, None, None]))))
+            h = min(h, shrink * float(np.min((scale / size) ** _INV_W_TAIL_K)))
     return h
 
 
@@ -240,10 +246,9 @@ def _at(W, t):
     """(w, w_t) at the points t (1-d) of the step polynomials W
     (_ORDER + 1, 2, n): a (2, t.size, 2, n) array, from one real matrix
     product each with the powers of t."""
-    k = np.arange(W.shape[0])
-    powers = t[:, None] ** k
-    slopes = k[1:] * powers[:, :-1]
-    flat = W.reshape(k.size, -1).view(float)
+    powers = t[:, None] ** _K
+    slopes = _K[1:] * powers[:, :-1]
+    flat = W.reshape(_K.size, -1).view(float)
     shape = (t.size,) + W.shape[1:]
     return np.array([(powers @ flat).view(complex).reshape(shape),
                      (slopes @ flat[1:]).view(complex).reshape(shape)])

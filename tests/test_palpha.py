@@ -97,9 +97,12 @@ def test_scalar_calls_match_the_array_path_bit_for_bit():
             assert type(v) is float
             assert v == q(np.array([x]))[0]
             assert math.copysign(1.0, v) == math.copysign(1.0, q(np.array([x]))[0])
-    # NaN passes through both paths as NaN (a table refuses one at construction)
-    nan_q = QFunction.from_expression("x + 0*exp(800)")
-    assert math.isnan(nan_q(0.5)) and math.isnan(nan_q(np.array([0.5]))[0])
+    # NaN passes through both paths as NaN (a table refuses one at construction,
+    # an expression only where it is NaN at every probe): exp(800 x) overflows
+    # past x = 0.89
+    nan_q = QFunction.from_expression("x + 0*exp(800*x)")
+    with np.errstate(all="ignore"):
+        assert math.isnan(nan_q(0.95)) and math.isnan(nan_q(np.array([0.95]))[0])
     with pytest.raises(NonnegativityViolated, match=r"q\(0\.2\) = -0\.3 < 0"):
         QFunction.from_expression("x - 0.5")(0.2)
 
@@ -114,6 +117,13 @@ def test_expression_variable_must_be_x():
 def test_complex_coefficient_is_rejected(text):
     # dropping the imaginary part would answer for a different q
     with pytest.raises(ValueError, match="complex"):
+        QFunction.from_expression(text)
+
+
+@pytest.mark.parametrize("text", ["x + 0*exp(800)", "0*exp(800) + 0*x"])
+def test_coefficient_not_finite_anywhere_is_rejected(text):
+    # the ODE would otherwise end in a step-size underflow that names no cause
+    with pytest.raises(ValueError, match=r"is not finite at any probe point"):
         QFunction.from_expression(text)
 
 

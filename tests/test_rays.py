@@ -1,5 +1,7 @@
 """Ray-wise factor solutions and real-axis reconstruction."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -73,10 +75,52 @@ def test_ray_starts_exactly_at_the_origin_seed():
 
 def test_non_analytic_coefficient_is_refused():
     def p(z):
-        return complex("nan") if abs(z) > 0.3 else 0.0
+        return np.where(np.abs(z) > 0.3, complex("nan"), 0.0)
 
     with pytest.raises(NonAnalyticSample):
         solve_ray(p, theta=0.0)
+
+
+def test_a_callable_coefficient_is_sampled_one_ring_per_call():
+    f = catalog.cot_scaled(0.3).expr
+    calls = []
+
+    def p(z):
+        calls.append(z)
+        return schwarzian(f, z) / 2.0
+
+    ray = solve_ray(p, theta=0.3)
+    assert len(calls) == ray.n_rhs // 32
+    for z in calls:
+        assert isinstance(z, np.ndarray) and z.dtype == complex and z.shape == (1, 32)
+
+
+def test_a_scalar_only_coefficient_fails_on_the_first_ring():
+    with pytest.raises((TypeError, ValueError)):
+        solve_ray(lambda z: cmath.exp(z), theta=0.0)
+
+
+def _per_point(p):
+    """p sampled at one scalar point at a time, a GftError read as NaN."""
+    def one(w):
+        try:
+            return complex(p(complex(w)))
+        except GftError:
+            return complex("nan")
+
+    return lambda z: np.array([one(w) for w in z.ravel()]).reshape(z.shape)
+
+
+@pytest.mark.parametrize("entry", [catalog.get_entry("quarter_pole"), catalog.cot_scaled(0.3)],
+                         ids=lambda e: e.name)
+def test_array_sampling_matches_per_point_sampling(entry):
+    # the array and scalar jets round differently, so the rings' samples (and
+    # where a tail sits at the tolerance, the rings accepted) may differ
+    p = lambda z: schwarzian(entry.expr, z) / 2.0  # noqa: E731
+    for theta in (2 * np.arange(12) + 1) * np.pi / 12:
+        ray, ref = solve_ray(p, theta), solve_ray(_per_point(p), theta)
+        for got, want in ((ray.v, ref.v), (ray.v_z, ref.v_z), (ray.u, ref.u), (ray.u_z, ref.u_z)):
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12, theta
 
 
 def test_r_max_validation():
