@@ -16,14 +16,16 @@ series evaluator, or a table's linear piece), builds y's series by
 Every step's q polynomial is checked against q itself at the step's middle
 and end.  The solve stops at the first zero of y: no caller uses y past it,
 and for large q it would pay for every later oscillation.  The q integral
-steps the same q polynomials and integrates each exactly, so neither
-needs an external ODE or quadrature library.
+makes one pass of the same q polynomials from 0 toward 1 and integrates
+each exactly over the end segments it covers, so neither needs an
+external ODE or quadrature library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -286,8 +288,6 @@ class OdeSolution:
     """
 
     nodes: np.ndarray
-    y: np.ndarray
-    yp: np.ndarray
     eps_end: float
     rel_tol: float
     n_rhs: int
@@ -312,12 +312,16 @@ class OdeSolution:
         return yp / y
 
 
+@lru_cache(maxsize=8)
 def _reporting_nodes(eps_end: float) -> np.ndarray:
     """>= 512 fixed nodes on [0, 1 - eps_end], geometrically clustered at
-    the right end."""
+    the right end; read-only, because every solve to that eps_end shares
+    the one array."""
     base = np.linspace(0.0, 1.0 - eps_end, 385)
     tail = 1.0 - np.geomspace(0.5, eps_end, 161)
-    return unique_sorted(base, tail)
+    nodes = unique_sorted(base, tail)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _dense(starts, polys):
@@ -348,8 +352,9 @@ def integrate_ivp(q: QFunction, eps_end: float = 1e-6, rel_tol: float = 1e-10) -
     polynomial where y changes sign, polished by Newton's method, and
     reported as ``first_zero``.  Fixed reporting nodes (>= 512 on the full
     span, geometrically clustered at the right end) make downstream scans
-    reproducible, and q is screened for negative values on them; the step
-    polynomials cover everything in between.
+    reproducible, and q is screened for negative values on them.  The
+    solve evaluates nothing on them: ``at`` reads y and y' from the step
+    polynomials wherever a caller asks.
     """
     if not (1e-8 <= eps_end <= 1e-2):
         raise ValueError(f"eps_end must lie in [1e-8, 1e-2], got {eps_end}")
@@ -388,21 +393,17 @@ def integrate_ivp(q: QFunction, eps_end: float = 1e-6, rel_tol: float = 1e-10) -
         y1 = _horner([k * c for k, c in enumerate(ys)][1:], h)
         x0, y0 = x_next, y_end
 
-    dense = _dense(starts, polys)
     nodes = _reporting_nodes(eps_end)
     if first_zero is not None:
         nodes = nodes[nodes < first_zero]
     q(nodes)  # the nonnegativity screen on every reporting node
-    y, yp = dense(nodes)
     return OdeSolution(
         nodes=nodes,
-        y=y,
-        yp=yp,
         eps_end=eps_end,
         rel_tol=rel_tol,
         n_rhs=n_q,
         first_zero=first_zero,
-        dense=dense,
+        dense=_dense(starts, polys),
     )
 
 
@@ -426,13 +427,19 @@ _LADDER_SETTLE = 1e-5
 def _boundary_limit(sol: OdeSolution):
     """(limit, extrapolants, raw ladder) of y'/y at x -> 1 from a positive
     solution: Richardson along x_k = 1 - 2^-k, k = 7..20 (or as far as
-    eps_end allows); ExtrapolationDiverged carries the raw tail if the last
-    three extrapolants disagree beyond 1e-5."""
+    eps_end allows); ValueError if fewer than three rungs fit (eps_end >
+    2^-10), ExtrapolationDiverged carrying the raw tail if the last three
+    extrapolants disagree beyond 1e-5."""
     k_max = min(20, int(math.floor(-math.log2(sol.eps_end))) - 1)
     ks = np.arange(7, k_max + 1)
+    if ks.size < 3:
+        raise ValueError(
+            f"eps_end = {sol.eps_end!r} leaves the boundary ladder x_k = 1 - 2^-k (k >= 7) "
+            f"{ks.size} of the 3 rungs it needs; use eps_end <= 2^-10"
+        )
     raw = tuple(float(v) for v in sol.log_slope(1.0 - np.power(2.0, -ks.astype(float))))
     diag = richardson(raw, ratio=2.0)
-    if len(diag) < 3 or not (
+    if not (
         abs(diag[-1] - diag[-2]) <= _LADDER_SETTLE
         and abs(diag[-2] - diag[-3]) <= _LADDER_SETTLE
     ):
@@ -454,8 +461,9 @@ def check_palpha(
     Positivity and the first zero (if any) come from the solve itself,
     which stops there (see integrate_ivp).  The boundary limit of y'/y is
     extrapolated from the ladder x_k = 1 - 2^-k, k = 7..20 (or as far as
-    eps_end allows); ExtrapolationDiverged carries the raw tail if the
-    last three extrapolants disagree beyond 1e-5.
+    eps_end allows; ValueError if fewer than three rungs fit, eps_end >
+    2^-10); ExtrapolationDiverged carries the raw tail if the last three
+    extrapolants disagree beyond 1e-5.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -480,23 +488,33 @@ def check_palpha(
     )
 
 
-def _integral(q: QFunction, a: float, b: float, rel_tol: float) -> float:
-    """The integral of q over [a, b], one exactly integrated q polynomial per
-    step; steps as in integrate_ivp, without y."""
-    total, x0 = 0.0, a
-    while x0 < b:
-        h = b - x0
-        coef, spent = q._piece(x0, h)
-        h = _q_step(coef, h, rel_tol)
-        while not _agrees(q, coef, x0, h, rel_tol):
-            h = _halve(h, x0)
-            if spent > 1:
-                coef = q._piece(x0, h)[0]
-        x_next = b if x0 + h >= b else x0 + h
-        h = x_next - x0
-        total += h * _horner([c / (j + 1) for j, c in enumerate(coef.tolist())], h)
-        x0 = x_next
-    return total
+def _q_integral_step(q: QFunction, x0: float, rel_tol: float):
+    """One step of the q integral from x0 toward 1, sized as in
+    integrate_ivp (without y): the antiderivative coefficients of its q
+    polynomial, in t = x - x0, and the step's end."""
+    h = 1.0 - x0
+    coef, spent = q._piece(x0, h)
+    h = _q_step(coef, h, rel_tol)
+    while not _agrees(q, coef, x0, h, rel_tol):
+        h = _halve(h, x0)
+        if spent > 1:
+            coef = q._piece(x0, h)[0]
+    return [c / (j + 1) for j, c in enumerate(coef.tolist())], min(x0 + h, 1.0)
+
+
+def _mass(a, t1: float, t2: float) -> float:
+    """sum_j a_j (t2^(j+1) - t1^(j+1)), the integral over [t1, t2] of a
+    step polynomial with antiderivative coefficients a.  For t1 > 0 it is
+    (t2 - t1) sum_j a_j S_j, S_j = t1 S_(j-1) + t2^j, S_0 = 1: no
+    difference of nearly equal powers, so no cancellation."""
+    if t1 == 0.0:
+        return t2 * _horner(a, t2)
+    s, p, acc = 1.0, 1.0, a[0]
+    for c in a[1:]:
+        p *= t2
+        s = t1 * s + p
+        acc += c * s
+    return (t2 - t1) * acc
 
 
 def integrate_q(q: QFunction) -> float:
@@ -504,26 +522,37 @@ def integrate_q(q: QFunction) -> float:
 
     A sample table is piecewise linear, with np.interp's constant ends
     outside its knots, so its integral is the exact trapezoid sum over the
-    knots inside (0, 1) and the ends 0, 1.  Other q integrate their step
-    polynomials exactly over geometric end segments: [0, 1/2], then
-    segments [1-2^-k, 1-2^-(k-1)] marching toward 1 until two consecutive
-    segments have decayed below the cutoff; a single small segment is not
-    enough, because weights like (n+1) x^n hide their mass many halvings
-    past 1/2.  Raises QuadratureFailed if the segments have not decayed by
-    k = 60.
+    knots inside (0, 1) and the ends 0, 1.  Other q are stepped once from
+    0 toward 1, each step's q polynomial checked against q as in
+    integrate_ivp, and integrated exactly over geometric end segments:
+    [0, 1/2], then segments [1-2^-(k-1), 1-2^-k] marching toward 1 until
+    two consecutive segments have decayed below the cutoff; a single small
+    segment is not enough, because weights like (n+1) x^n hide their mass
+    many halvings past 1/2.  Steps run across the segment marks: a
+    segment's mass is read from the step polynomials that cover it.
+    Raises QuadratureFailed if the segments have not decayed by k = 60.
     """
     if q._knots is not None:
         xs = q._knots
         pts = np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)], [1.0]])
         return float(np.trapezoid(q(pts), pts))
 
-    total = _integral(q, 0.0, 0.5, 1e-12)
     cutoff = 1e-10 / 10.0  # a tenth of the 1e-10 the result is good to
-    prev = math.inf
-    for k in range(2, 61):
-        a, b = 1.0 - 2.0 ** -(k - 1), 1.0 - 2.0**-k
-        seg = _integral(q, a, b, 1e-12)
+    total, prev = 0.0, math.inf
+    a = x0 = x1 = 0.0  # a walks the segment, [x0, x1] is the step under it
+    for k in range(1, 61):
+        b = 1.0 - 2.0**-k
+        seg = 0.0
+        while a < b:
+            if a == x1:
+                x0 = x1
+                poly, x1 = _q_integral_step(q, x0, 1e-12)
+            end = min(x1, b)
+            seg += _mass(poly, a - x0, end - x0)
+            a = end
         total += seg
+        if k == 1:  # [0, 1/2] is no end segment
+            continue
         if abs(seg) < cutoff and prev < cutoff and abs(seg) <= prev:
             return float(total)
         prev = abs(seg)

@@ -257,6 +257,14 @@ def test_palpha_membership_and_rejection(capsys):
     )
 
 
+def test_palpha_with_too_short_a_ladder_names_the_cause(capsys):
+    # at eps_end = 0.01 no rung of x_k = 1 - 2^-k, k >= 7, fits before the end
+    assert main(["palpha", "--q-const", "1", "--alpha", "0.3", "--eps-end", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "eps_end = 0.01 leaves the boundary ladder" in err and "0 of the 3 rungs" in err
+    assert "did not settle" not in err
+
+
 def test_const_q_solver(capsys):
     assert main(["const-q", "--target", "0.5"]) == 0
     assert "1.358532876461639" in capsys.readouterr().out

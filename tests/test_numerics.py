@@ -78,6 +78,12 @@ def test_palpha_reporting_nodes_are_np_unique_of_their_parts():
         assert nodes.tobytes() == np.unique(np.concatenate(parts)).tobytes()
 
 
+def test_palpha_reporting_nodes_are_one_read_only_array_per_eps_end():
+    for eps in (2.0**-21, 1e-6):
+        nodes = _reporting_nodes(eps)
+        assert _reporting_nodes(eps) is nodes and not nodes.flags.writeable
+
+
 @pytest.mark.parametrize("r_max", [0.999, 0.5])
 def test_ray_reporting_radii_are_np_unique_of_their_parts(r_max):
     radii = solve_ray(lambda z: 0.0, 0.3, r_max=r_max).rho[1:]

@@ -4,7 +4,9 @@ Constant coefficients have closed forms (y = sin(sqrt(c) x)/sqrt(c)), so
 most oracles here are classical identities rather than frozen numbers.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,16 +140,18 @@ def test_real_coefficients_pass_the_complex_screen():
 
 def test_free_equation_solution_is_the_identity():
     sol = integrate_ivp(QFunction.constant(0.0))
-    assert np.max(np.abs(sol.y - sol.nodes)) <= 1e-10
-    assert np.max(np.abs(sol.yp - 1.0)) <= 1e-10
+    y, yp = sol.at(sol.nodes)
+    assert np.max(np.abs(y - sol.nodes)) <= 1e-10
+    assert np.max(np.abs(yp - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("c", [0.5, 4.0, 16.0])
 def test_constant_coefficient_closed_form(c):
     sol = integrate_ivp(QFunction.constant(c))
     rc = math.sqrt(c)
-    assert np.max(np.abs(sol.y - np.sin(rc * sol.nodes) / rc)) <= 1e-8
-    assert np.max(np.abs(sol.yp - np.cos(rc * sol.nodes))) <= 1e-8
+    y, yp = sol.at(sol.nodes)
+    assert np.max(np.abs(y - np.sin(rc * sol.nodes) / rc)) <= 1e-8
+    assert np.max(np.abs(yp - np.cos(rc * sol.nodes))) <= 1e-8
 
 
 def test_dense_output_and_log_slope():
@@ -156,7 +160,8 @@ def test_dense_output_and_log_slope():
         y, yp = sol.at(r)
         assert y == pytest.approx(math.sin(2 * r) / 2, abs=1e-10)
         assert sol.log_slope(r) == pytest.approx(2 / math.tan(2 * r), abs=1e-8)
-    assert sol.nodes[0] == 0.0 and sol.y[0] == 0.0 and sol.yp[0] == 1.0
+    y, yp = sol.at(sol.nodes)
+    assert sol.nodes[0] == 0.0 and y[0] == 0.0 and yp[0] == 1.0
     assert sol.nodes[-1] == pytest.approx(1.0 - sol.eps_end, abs=1e-15)
     assert sol.first_zero is None
 
@@ -245,10 +250,16 @@ def test_verdict_carries_the_rhs_count():
 
 
 def test_ladder_needs_enough_room():
-    # eps_end coarser than the extrapolation ladder: refuse, keep the tail
+    # eps_end above 2^-10 leaves fewer than three rungs: a ValueError that
+    # names the cause, not a ladder that "did not settle"
+    for eps_end, rungs in ((0.01, 0), (2.0**-8, 1), (1e-3, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"{rungs} of the 3 rungs")) as exc:
+            check_palpha(QFunction.constant(0.0), 0.5, eps_end=eps_end)
+        assert f"eps_end = {eps_end!r}" in str(exc.value)
+    # at 2^-10 the three rungs fit but y'/y = 1/x has not settled: keep the tail
     with pytest.raises(ExtrapolationDiverged) as exc:
-        check_palpha(QFunction.constant(0.0), 0.5, eps_end=2.0**-8)
-    assert len(exc.value.tail) >= 1
+        check_palpha(QFunction.constant(0.0), 0.5, eps_end=2.0**-10)
+    assert len(exc.value.tail) == 3
 
 
 def test_alpha_validation():
@@ -379,6 +390,40 @@ def test_integral_criterion_reports_the_implied_order():
     assert not integral_criterion(QFunction.constant(0.5), 0.3).satisfied
     with pytest.raises(ValueError):
         integral_criterion(QFunction.constant(0.1), 1.5)
+
+
+QUARTER_DECADES = [10.0 ** (e / 4.0) for e in range(-8, 29)]  # [1e-2, 1e7]
+
+
+@pytest.mark.parametrize("c", QUARTER_DECADES)
+def test_integral_of_a_constant(c):
+    assert abs(integrate_q(QFunction.constant(c)) - c) <= 1e-10 * max(1.0, c)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_integral_of_a_power_of_one_minus_x(a, k):
+    assert abs(integrate_q(QFunction.from_expression(f"{a!r}*(1-x)^{k}")) - a / (k + 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 5, 50, 200])
+def test_integral_of_a_unit_monomial_weight(n):
+    assert abs(integrate_q(QFunction.from_expression(f"{n + 1}*x^{n}")) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1e-2, 1.0, 1e7])
+def test_integral_of_a_constant_is_one_step(c):
+    # one step covers [0, 1]: one series read for the step, two for its
+    # check against q; the end segments are read off that step, not re-stepped
+    reads = []
+    q = QFunction.constant(c)
+
+    def series(x0, n):
+        reads.append(x0)
+        return q._series(x0, n)
+
+    assert integrate_q(dataclasses.replace(q, _series=series)) == integrate_q(q)
+    assert len(reads) <= 3
 
 
 def test_integral_with_mass_concentrated_at_the_boundary():
