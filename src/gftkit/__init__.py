@@ -30,7 +30,7 @@ _EXPORTS = {
     "families": ("DiskSampler", "FamilyVerdict", "functional_value", "injectivity_spot_check",
                  "membership", "order_estimate"),
     "jets": ("Jet3", "variable"),
-    "numerics": ("bisect", "golden_min", "golden_polish", "quasi_random_disk", "richardson"),
+    "numerics": ("bisect", "polish_minimum", "quasi_random_disk", "richardson"),
     "palpha": ("IntegralCheck", "OdeSolution", "PalphaVerdict", "QFunction", "SharpnessResult",
                "check_palpha", "constant_solver", "integral_criterion", "integrate_ivp",
                "integrate_q", "sharpness_construct"),

@@ -223,15 +223,13 @@ def _cmd_order(args):
 
 
 def _cmd_schwarzian(args):
-    import numpy as np
-
     from .schwarzian import schwarzian
 
     f, text, z = args.f, args.text, args.point
-    with np.errstate(all="ignore"):  # an overflowing jet is reported below, not warned about
-        s = schwarzian(f, z)
+    s = schwarzian(f, z)
     if not cmath.isfinite(s):
-        raise EvaluationFailed(f"S_f({args.z}) is not finite: the jet of f overflowed there")
+        raise EvaluationFailed(f"S_f({args.z}) is not finite: f or one of its derivatives "
+                               "is singular or not finite there")
     return _Report(
         [f"S_f({z}) = {s.real:.15g} + {s.imag:.15g}i", f"|S_f| = {abs(s):.15g}"],
         {"expr": text, "z": {"re": z.real, "im": z.imag}, "seed": args.seed},

@@ -1,9 +1,9 @@
 """The tree compiler behind FunctionExpr's evaluators.
 
 ``_build_path(root, mode, order)`` turns an expression tree from
-``expressions`` into its scalar or array jet evaluator of one order, or its
-Taylor-series evaluator.  It lives apart from the tree and the parser
-because it needs numpy, which they do not.
+``expressions`` into its jet evaluator of one order, which runs on arrays of
+points, or its Taylor-series evaluator.  It lives apart from the tree and
+the parser because it needs numpy, which they do not.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .numerics import _RING_BLOCK_POINTS
 
 # -- the built evaluators ------------------------------------------------------
 #
-# A FunctionExpr builds one jet evaluator per (mode, order) it is asked for
-# and one series evaluator, each once, on first use, by one compiler,
-# _Builder, in the matching mode.
+# A FunctionExpr builds one jet evaluator per order it is asked for and one
+# series evaluator, each once, on first use, by one compiler, _Builder, in
+# the matching mode.
 #
 # The step list.  The builder hash-conses the tree: each distinct subtree
 # becomes one plan, and each plan that is not a constant one step of a flat
@@ -42,7 +42,7 @@ from .numerics import _RING_BLOCK_POINTS
 # clears; if both its inputs die there, one stays until its slot is reused.
 #
 # The keys.  A literal constant is keyed by its type and repr, so 1.0 and
-# 1+0j, or 0.0 and -0.0, which round apart, never share a plan.  An
+# 1+0j, or 0.0 and -0.0, which the fold rounds apart, never share a plan.  An
 # operation, folded or not, is keyed by its name, its parameter (a function
 # name, an exponent) and its children's plan numbers, so keying stays linear
 # in the size of the tree; a node object that the tree holds more than once
@@ -53,7 +53,7 @@ from .numerics import _RING_BLOCK_POINTS
 # a step.  Only a series f^n of a non-constant f is one step, the
 # jets.series_int_pow recurrence.
 #
-# The orders.  In the two jet modes the seed is z and each entry, the jet at
+# The orders.  In jet mode the seed is z and each entry, the jet at
 # the root included, a tuple (v0, ..., vn) through the order n: jets.rule and
 # jets.linear_rule compile each pruned rule once, for the kinds of its
 # inputs' four entries and the order, to one expression over those tuples,
@@ -67,37 +67,22 @@ from .numerics import _RING_BLOCK_POINTS
 # the other series by the constant's value instead of convolving, and a sum
 # builds the constant's series for the length of the other.
 #
-# The scalar and the array path get separate builds, because the walk's
-# numbers differ in type there and complex products and quotients round
-# differently by type: a numpy array product unlike a scalar product, and
-# numpy scalar quotients unlike Python ones.  On the array path constants
-# are held as 1-element arrays, so every product runs as an array product,
-# as in the walk.  On the scalar path each plan also carries ``types``: two
-# sample tuples whose entries have the types the walk and this evaluator hold
-# there.  Sums and products give equal values whatever the type, so only
-# the result's types matter (callers divide by them): the root converts an
-# entry whose type differs from the walk's.
+# One arithmetic path.  A one-point call runs on a one-element array, so a
+# point's jet is the grid's there, bit for bit: complex products and
+# quotients round by type.  Constants are held as 1-element arrays, so
+# every product runs as an array product, as in the walk on arrays.
 
 
 class _Plan(NamedTuple):
     kinds: tuple  # jets kind of each of the four entries
     const: object = None  # the folded 4-tuple of a constant subtree
-    types: tuple = None  # scalar path: (walk, own) type samples
 
 
-_FOLD, _SCALAR, _ARRAY, _SERIES = "fold", "scalar", "array", "series"
+_FOLD, _ARRAY, _SERIES = "fold", "array", "series"
 _FULL = (jets.VALUE,) * 4  # kinds that prune nothing
 _FOLDING = (_Plan(_FULL),) * 2  # the children of an unpruned rule, which folds constants
 _ONE = complex(1.0)  # the constant 1, as jets._int_pow seeds its product
 _SEED, _UNREAD = 0, 1  # the slots of the seed and of results that nothing reads
-# one value per type a scalar walk holds, away from every singular point
-_SAMPLES = {t: t(1.5 + 0.5j) if issubclass(t, complex) else t(1.5)
-            for t in (float, complex, np.float64, np.complex128)}
-
-
-def _samples(values):
-    return tuple(_SAMPLES.get(type(v), v) for v in values)
-
 
 def _const_kinds(values, mode):
     if mode in (_FOLD, _SERIES):
@@ -213,9 +198,7 @@ class _Builder:
 
     def __init__(self, mode, order):
         self.mode, self.order = mode, order
-        seed = (_SAMPLES[complex], 1.0, 0.0, 0.0)
-        types = (seed, seed[:order + 1]) if mode == _SCALAR else None
-        self.plans = [_Plan((jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO), None, types)]
+        self.plans = [_Plan((jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO))]
         self.keys = {}  # key -> plan number
         self.seen = {}  # id(node) -> plan number: a tree may hold one node object many times
         self.steps = []  # (rule, input plan numbers, output plan number), in run order
@@ -286,8 +269,7 @@ class _Builder:
         return self._constant(key, (value, 0.0, 0.0, 0.0)) if p is None else p
 
     def _constant(self, key, values) -> int:
-        types = (values, values[:self.order + 1]) if self.mode == _SCALAR else None
-        return self._keyed(key, _Plan(_const_kinds(values, self.mode), values, types))
+        return self._keyed(key, _Plan(_const_kinds(values, self.mode), values))
 
     def _op(self, compile_op, name, *children) -> int:
         """The plan of an operation on child plans; folds constant children."""
@@ -302,17 +284,11 @@ class _Builder:
             try:
                 return self._constant(key, tuple(fold(*consts)))
             except GftError as exc:
-                sample = (_SAMPLES[complex],) * 4
-                types = (sample, sample[:self.order + 1]) if self.mode == _SCALAR else None
-                return self._keyed(key, _Plan(_FULL, None, types), (0,), _raiser(exc))
+                return self._keyed(key, _Plan(_FULL), (0,), _raiser(exc))
         fn, kinds = compile_op(plans, self.mode, self.order)
-        types = None
-        if self.mode == _SCALAR:
-            walk, _ = compile_op(_FOLDING[:len(plans)], _FOLD, 3)
-            types = tuple(_samples(g(*(c.types[i] for c in plans))) for i, g in enumerate((walk, fn)))
-        elif self.mode == _SERIES:  # a series rule holds its constant operand
+        if self.mode == _SERIES:  # a series rule holds its constant operand
             children = tuple(c for c, const in zip(children, consts) if const is None)
-        return self._keyed(key, _Plan(kinds, None, types), children, fn)
+        return self._keyed(key, _Plan(kinds), children, fn)
 
     def runner(self, top):
         """The steps as one function: seed -> the entries of plan ``top``."""
@@ -359,9 +335,9 @@ class _Builder:
 
 
 def _build_path(root, mode, order=None):
-    """The evaluator of the tree ``root`` in ``mode``: z -> the tuple
-    (f, f', ..., f^(order)), order 0 to 3, for scalar or for array z, or
-    (x0, n) -> the complex Taylor coefficients 0..n about the real point x0."""
+    """The evaluator of the tree ``root`` in ``mode``: z (a point or an array)
+    -> (f, f', ..., f^(order)), order 0 to 3, or (x0, n) -> the complex
+    Taylor coefficients 0..n about the real point x0."""
     if mode == _SERIES:
         order = 3
     elif order not in (0, 1, 2, 3):
@@ -380,27 +356,18 @@ def _build_path(root, mode, order=None):
         return series
 
     tail = (1.0, 0.0, 0.0)[:order]
-    if mode == _SCALAR:
-        casts = [type(w) if type(w) is not type(o) else None for w, o in zip(*plan.types)]
-        if any(casts):
-            def jet(z):
-                out = run((complex(z),) + tail)
-                return tuple(v if c is None else c(v) for v, c in zip(out, casts))
-        else:
-            def jet(z):
-                return run((complex(z),) + tail)
-        return jet
-
     if plan.const is not None:  # a constant map (or f^0) keeps the walk's scalars
         const = plan.const[:order + 1]
 
         def jet(z):
-            run((z,) + tail)
+            run((np.asarray(z, dtype=complex).reshape(-1),) + tail)  # for the steps' errors
             return const
         return jet
 
     def jet(z):
         z = np.asarray(z, dtype=complex)
+        if not z.ndim:  # one point: the entries of its one-element array's jet
+            return tuple(v[0] for v in jet(z.reshape(1)))
         with np.errstate(all="ignore"):  # arrays NaN-mask overflow and singular hits
             if z.size <= _RING_BLOCK_POINTS:
                 out = run((z,) + tail)

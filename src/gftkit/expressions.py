@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import DegenerateMobius, EvaluationFailed, ExprSyntaxError
-from .shared import is_scalar
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
 
@@ -412,18 +411,17 @@ class FunctionExpr:
     exclusion_radius: float = 1e-3
 
     def jet(self, z, order: int = 3) -> tuple:
-        """(f, f', ..., f^(order)) at a scalar or array z: the value and the
-        first ``order`` derivatives (order 0 to 3), order + 1 entries."""
-        key = ("scalar" if is_scalar(z) else "array", order)
-        evaluator = self._evaluators.get(key)
+        """(f, f', ..., f^(order)) at one point or an array of points z, order
+        0 to 3: NaN at singular hits; one point as a one-element array's."""
+        evaluator = self._evaluators.get(order)
         if evaluator is None:
             from .compiler import _build_path
 
-            evaluator = self._evaluators[key] = _build_path(self.root, *key)
+            evaluator = self._evaluators[order] = _build_path(self.root, "array", order)
         return evaluator(z)
 
     # The evaluators are built on first use and kept for the life of the map:
-    # one jet evaluator per (mode, order) asked for, and one series evaluator.
+    # one jet evaluator per order asked for, and one series evaluator.
     # They are not fields: equality, hash and repr ignore them.  The first
     # build in a process imports the compiler, and numpy with it.
     @cached_property
@@ -512,7 +510,7 @@ def const_expr(c, variable: str = "z") -> FunctionExpr:
 
 
 def eval_jet(f: FunctionExpr, z) -> tuple:
-    """(f, f', f'', f''') at z (scalar or array), as ``f.jet(z)`` gives it."""
+    """(f, f', f'', f''') at z (a point or an array), as ``f.jet(z)`` gives it."""
     return f.jet(z)
 
 

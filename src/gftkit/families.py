@@ -23,15 +23,10 @@ import numpy as np
 
 from .errors import DivisionAtZero, LocallyNonUnivalent, UnivalenceNotChecked
 from .expressions import FunctionExpr
-from .jets import near_zero
-from .numerics import (
-    Extremum,
-    golden_polish,
-    quasi_random_disk,
-    ring_blocks,
-    ring_points,
-)
-from .shared import B_FAMILIES, Family, is_scalar
+from .jets import point_near_zero
+from .numerics import (Extremum, as_points, polish_minimum, quasi_random_disk, ring_blocks,
+                       ring_points)
+from .shared import B_FAMILIES, Family
 
 
 @dataclass(frozen=True)
@@ -126,29 +121,24 @@ def _functionals(families, z, jet) -> dict:
 
 
 def functional_value(f: FunctionExpr, family: Family, z):
-    """The defining functional of ``family`` for f at z (scalar or array).
+    """The defining functional of ``family`` for f at z (one point or an array).
 
-    Scalar input raises on singular hits (pole, f' = 0, f = 0); array
-    input yields NaN at such points so grids can skip and count them.
+    NaN where it is undefined, so grids can skip and count such points.  One
+    point runs as a one-element array, so it gets a grid's value bit for
+    bit, and raises where a quotient it reads divides by f' = 0 or f = 0.
     At z = 0 the pole-normalized families take their limit value 1.
     """
     family = Family(family)
-    if not is_scalar(z):
-        val = _functionals((family,), z, f.jet(z, 2))[family]
-        return np.where(np.asarray(z) == 0, 1.0, val) if family in B_FAMILIES else val
-    if complex(z) == 0 and family in B_FAMILIES:
-        return 1.0
-    jet = f.jet(z, 2)
-    convex, starlike = family in _CONVEX, family in _STARLIKE
-    if convex and near_zero(jet[1]):
-        raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-    if starlike and near_zero(jet[0]):
-        raise DivisionAtZero(f"f({z}) = 0 to tolerance")
-    # the operations of _functionals on one point: ``.real`` is what np.real
-    # reads, and the guards leave no division by zero to silence
-    a = 1.0 + (z * jet[2] / jet[1]).real if convex else None
-    b = (z * jet[1] / jet[0]).real if starlike else None
-    return float(_FORMULAS[family](a, b))
+    zs, point = as_points(z)
+    jet = f.jet(zs, 2)
+    if point and not (zs[0] == 0 and family in B_FAMILIES):
+        if family in _CONVEX and point_near_zero(jet[1]):
+            raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
+        if family in _STARLIKE and point_near_zero(jet[0]):
+            raise DivisionAtZero(f"f({z}) = 0 to tolerance")
+    val = _functionals((family,), zs, jet)[family]
+    val = np.where(zs == 0, 1.0, val) if family in B_FAMILIES else val
+    return float(val[0]) if point else val
 
 
 class GridField:
@@ -157,7 +147,8 @@ class GridField:
     jet of f gives the family functionals there, and each family keeps only
     its running grid minimum, the minimum's witness and the counts the 1%
     rule reads.  Every verdict and order estimate on this grid is read from
-    those; only the golden polish evaluates f again, pointwise.
+    those; only the polish of a minimum evaluates f again, on small arrays
+    of probe points.
 
     ``each_block(points, jet)``, if given, sees every block's jet too, so a
     caller can reduce its own quantity in the same pass; that jet is of
@@ -218,8 +209,9 @@ class GridField:
             tol=tol,
         )
 
-    def order_estimate(self, family: Family) -> float:
-        """Polished order estimate on this grid; see ``order_estimate``."""
+    def polished(self, family: Family):
+        """(value, point) of the grid minimum polished off the grid in one
+        round of sweeps: ``functional_value`` at the point, bit for bit."""
         family = Family(family)
         f, sampler = self.f, self.sampler
         vmin, z0 = self._extremum(family).best("grid points")
@@ -227,12 +219,15 @@ class GridField:
         # the domain ends stand in for the missing neighbours of the end rings
         radii = np.concatenate(([r_lo], sampler.radii(), [sampler.r_max]))
         k = 1 + int(np.argmin(np.abs(radii[1:-1] - abs(z0))))
-        best, _ = golden_polish(
+        return polish_minimum(
             lambda z: functional_value(f, family, z), z0, float(vmin),
             dr=max(radii[k] - radii[k - 1], radii[k + 1] - radii[k]),
             dth=2.0 * np.pi / sampler.points_per_ring, r_lo=r_lo, r_hi=sampler.r_max, rounds=1,
         )
-        return float(np.clip(best, 0.0, 1.0))
+
+    def order_estimate(self, family: Family) -> float:
+        """Polished order estimate on this grid; see ``order_estimate``."""
+        return float(np.clip(self.polished(family)[0], 0.0, 1.0))
 
 
 def membership(
@@ -254,10 +249,10 @@ def membership(
 def order_estimate(f: FunctionExpr, family: Family, sampler: DiskSampler = None) -> float:
     """Largest alpha the sampled functional supports, clipped to [0, 1].
 
-    Grid minimum plus a golden-section polish of the extremal ring, first
-    in radius then in angle, so the estimate does not depend on the grid
-    lining up with the true argmin.  The grid must pass the same 1% rule
-    as ``membership``: EvaluationFailed otherwise.
+    Grid minimum plus a polish of the extremal ring, first in radius then in
+    angle, so the estimate does not depend on the grid lining up with the
+    true argmin.  The grid must pass the same 1% rule as ``membership``:
+    EvaluationFailed otherwise.
     """
     return GridField(f, sampler, (family,)).order_estimate(family)
 

@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BranchPointOrPole, DivisionAtZero
-from .shared import is_scalar
 
 # Magnitudes below this are treated as exact singular hits.  Chosen a
 # few decades above double eps so that 1/(z-z0) style factors computed
@@ -52,12 +51,18 @@ def near_zero(value, tol: float = SINGULAR_TOL) -> bool:
     return mag < 2.0 * tol and np.abs(value) < tol
 
 
+def point_near_zero(entry) -> bool:
+    """``near_zero`` of a one-point jet entry (a constant map's is a scalar)."""
+    return near_zero(complex(np.ravel(entry)[0]))
+
+
 def _guard(values, tol, exc, msg):
-    """Return a bad-point mask for array input; raise for scalar input.
+    """Return a bad-point mask for array input; raise for scalar input (the
+    Jet3 walk's and the constant fold's).
 
     ``None`` means nothing to patch.
     """
-    if is_scalar(values):
+    if not isinstance(values, np.ndarray):
         if near_zero(values, tol):
             raise exc(msg)
         return None
@@ -124,7 +129,7 @@ def _as_jet(x) -> Jet3:
 
 def variable(z) -> Jet3:
     """Seed jet for the identity map at z (scalar or complex array)."""
-    if is_scalar(z):
+    if np.ndim(z) == 0:
         return Jet3(complex(z), 1.0, 0.0, 0.0)
     z = np.asarray(z, dtype=complex)
     return Jet3(z, np.ones_like(z), np.zeros_like(z), np.zeros_like(z))

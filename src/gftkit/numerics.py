@@ -1,9 +1,8 @@
-"""Small numerical kernels: bracketed root finding,
-golden-section search and the grid-minimum polish, Richardson extrapolation,
-Taylor coefficients from a ring of samples, quasi-random disk points, polar
-grids streamed in blocks of whole rings, the one reduction of a sampled
-quantity (``Extremum``, home of the 1% non-finite rule), sorted distinct
-values."""
+"""Small numerical kernels: bracketed root finding, the grid-minimum
+polish in array sweeps, Richardson extrapolation, Taylor coefficients from
+a ring of samples, quasi-random disk points, polar grids streamed in blocks
+of whole rings, the one reduction of a sampled quantity (``Extremum``, home
+of the 1% non-finite rule), sorted distinct values."""
 
 from __future__ import annotations
 
@@ -14,8 +13,6 @@ import numpy as np
 
 from .errors import EvaluationFailed, GftError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -133,61 +130,71 @@ class Extremum:
         return self.value, self.point
 
 
-def golden_min(fn, a: float, b: float):
-    """Golden-section minimum of a unimodal fn on [a, b] -> (x, fx), until
-    the bracket is below 1e-10 wide, in at most 200 steps.
-
-    Deterministic and derivative-free; fine for the short refinement
-    sweeps where a bracketing optimiser would be overkill.
-    """
-    h = b - a
-    c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if h < 1e-10:
-            break
-        h *= _INVPHI
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = a + _INVPHI2 * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+def as_points(z):
+    """(z as an array, whether z was one point, now a one-element array)."""
+    z = np.asarray(z, dtype=complex)
+    return (z, False) if z.ndim else (z.reshape(1), True)
 
 
-def golden_polish(fn, z0, f0: float, dr: float, dth: float, r_lo: float, r_hi: float,
-                  rounds: int):
-    """Polish a grid minimum f0 = fn(z0) off the grid -> (value, point).
+_SWEEP_POINTS = 9  # points per array call of a polish sweep
 
-    Each round runs a golden sweep in radius within dr of the best point,
-    kept inside [r_lo, r_hi], then one in angle within dth; it keeps only
-    improvements and quarters both brackets.  ``fn`` is called at scalar
-    points r e^{i theta}; a probe that raises GftError or is not finite
-    counts as +inf, so it never wins.
-    """
-    best, r_w, th_w = f0, float(np.abs(z0)), float(np.angle(z0))
 
-    def probe(z) -> float:
+def _sweep(fn, point_at, a: float, b: float):
+    """The least value of fn at the points ``point_at(x)``, x in [a, b] ->
+    (x, point, value), from calls on 9 points.  The first spans [a, b];
+    each next spans a quarter spacing either side of the vertex of the
+    parabola through the best point and its neighbours, or is the last
+    span moved to a best point at its end.  It stops once a call is flat to
+    8 ulp, the spacing is below 1e-10 max(1, |x|), or the best point is at
+    a or b.  A non-finite value, or a call that raises GftError, is +inf."""
+    best, lo, hi, last = (a, None, math.inf), a, b, _SWEEP_POINTS - 1
+    for _ in range(64):
+        h = (hi - lo) / last
+        xs = [lo + k * h for k in range(last)] + [hi]
+        points = point_at(np.array(xs))
         try:
-            v = fn(z)
+            v = np.asarray(fn(points), dtype=float).tolist()
         except GftError:
-            return np.inf
-        return v if math.isfinite(v) else np.inf
+            v = [math.inf] * len(xs)
+        v = [y if math.isfinite(y) else math.inf for y in v]
+        i = min(range(len(v)), key=v.__getitem__)
+        x, y = xs[i], v[i]
+        if y < best[2]:
+            best = (x, points[i], y)
+        if (y == math.inf or max(v) - y <= 8.0 * math.ulp(y) or h < 1e-10 * max(1.0, abs(x))
+                or (i == 0 and lo == a) or (i == last and hi == b)):
+            break
+        if i in (0, last):
+            c, half = x, 0.5 * (hi - lo)
+        else:
+            left, right = v[i - 1] - y, v[i + 1] - y  # >= 0, +inf by a failed probe
+            curved = 0.0 < left + right < math.inf
+            c = x + 0.5 * h * (left - right) / (left + right) if curved else x
+            half = 0.25 * h
+        lo, hi = max(a, c - half), min(b, c + half)
+        lo, hi = max(a, hi - 2.0 * half), min(b, lo + 2.0 * half)
+    return best
 
+
+def polish_minimum(fn, z0, f0: float, dr: float, dth: float, r_lo: float, r_hi: float,
+                   rounds: int):
+    """Polish a grid minimum f0 = fn(z0) off the grid -> (value, point),
+    the value fn's at the point, bit for bit.  ``fn`` maps an array of points
+    to their values.  Each round sweeps in radius within dr of the best point,
+    inside [r_lo, r_hi], then in angle within dth (``_sweep``), keeps only
+    improvements and quarters dr and dth."""
+    best, point = f0, z0
+    r, th = float(np.abs(z0)), float(np.angle(z0))
     for _ in range(rounds):
-        r, v = golden_min(lambda r: probe(r * np.exp(1j * th_w)),
-                          max(r_lo, r_w - dr), min(r_hi, r_w + dr))
+        x, z, v = _sweep(fn, lambda x: x * np.exp(1j * th), max(r_lo, r - dr), min(r_hi, r + dr))
         if v < best:
-            best, r_w = v, r
-        t, v = golden_min(lambda t: probe(r_w * np.exp(1j * t)), th_w - dth, th_w + dth)
+            best, point, r = v, z, x
+        x, z, v = _sweep(fn, lambda x: r * np.exp(1j * x), th - dth, th + dth)
         if v < best:
-            best, th_w = v, t
+            best, point, th = v, z, x
         dr *= 0.25
         dth *= 0.25
-    return best, complex(r_w * np.exp(1j * th_w))
+    return best, complex(point)
 
 
 def richardson(values, ratio: float = 2.0) -> np.ndarray:

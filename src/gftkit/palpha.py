@@ -23,6 +23,7 @@ external ODE or quadrature library.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .expressions import FunctionExpr, parse
 from .numerics import bisect, richardson, unique_sorted
-from .shared import is_scalar
 
 _NEG_TOL = -1e-12  # roundoff allowance before declaring q negative
 _IMAG_TOL = 1e-12  # relative allowance for roundoff in Im q
@@ -140,7 +140,7 @@ class QFunction:
                    series)
 
     def __call__(self, x):
-        if is_scalar(x):
+        if np.ndim(x) == 0:
             return _screened(float(self._fn(x)), x)
         v = self._fn(x)
         vmin = float(np.min(v))
@@ -495,10 +495,17 @@ def _q_integral_step(q: QFunction, x0: float, rel_tol: float):
     h = 1.0 - x0
     coef, spent = q._piece(x0, h)
     h = _q_step(coef, h, rel_tol)
-    while not _agrees(q, coef, x0, h, rel_tol):
-        h = _halve(h, x0)
-        if spent > 1:
-            coef = q._piece(x0, h)[0]
+    try:
+        while not _agrees(q, coef, x0, h, rel_tol):
+            h = _halve(h, x0)
+            if spent > 1:
+                coef = q._piece(x0, h)[0]
+    except (BranchPointOrPole, DivisionAtZero) as exc:
+        x = float(x0 + 0.5 * h)  # _agrees reads q at the step's middle, then at its end
+        with contextlib.suppress(BranchPointOrPole, DivisionAtZero):
+            q._value(x)
+            x = float(x0 + h)
+        raise QuadratureFailed(f"q = {q.label} cannot be evaluated at x = {x!r}: {exc}") from exc
     return [c / (j + 1) for j, c in enumerate(coef.tolist())], min(x0 + h, 1.0)
 
 

@@ -24,19 +24,3 @@ class Family(str, Enum):
 B_FAMILIES = frozenset({Family.BC, Family.BSSTAR, Family.BCI})
 
 CHECK_IDS = ("sufficiency", "duality", "inclusions")
-
-_NUMBERS = (complex, float, int)  # numpy's float64 and complex128 subclass these
-
-
-def is_scalar(x) -> bool:
-    """``np.ndim(x) == 0``, without its ~2 us cost on Python and numpy
-    scalars, and without importing numpy for them: numpy values answer by
-    their own ``ndim``."""
-    if isinstance(x, _NUMBERS):
-        return True
-    dims = getattr(x, "ndim", None)
-    if dims is None:  # a sequence or another object: numpy decides, as np.ndim does
-        import numpy
-
-        dims = numpy.ndim(x)
-    return dims == 0

@@ -8,12 +8,12 @@ bit of any jet or series::
     PYTHONPATH=<checkout>/src python tests/jet_digest.py
 
 For each catalog map f it covers f, its dual h = 1/(z (1/f)'), h', 1/f,
-a Mobius image T o f, 2f and if: scalar jets at fixed points, array jets
+a Mobius image T o f, 2f and if: one-point jets at fixed points, array jets
 on 3 000 points and on one array longer than one 8 192-point block, and
 order-8 Taylor series about three real centres, all at the default jet
 order 3.  For each of 3 000 random trees over the whole grammar (integer
 exponents from -3 to 7, the constants 1e309 and exp(800), signed zeros) it
-covers the scalar and the array jets of every order 0 to 3 and order-5
+covers the one-point and the array jets of every order 0 to 3 and order-5
 series about three centres.
 
 A jet is read entry by entry, whether it is a Jet3 or a tuple, and an

@@ -141,7 +141,18 @@ def test_schwarzian_overflow_reports_the_error_line_alone():
     )
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr == "error: S_f(0.9) is not finite: the jet of f overflowed there\n"
+    assert out.stderr == ("error: S_f(0.9) is not finite: f or one of its derivatives is "
+                          "singular or not finite there\n")
+
+
+def test_schwarzian_at_a_singular_point_names_the_point(capsys):
+    # at the pole of z/4 + 1/z the one-point jet is NaN, as on a grid
+    assert main(["schwarzian", "--catalog", "quarter_pole", "--z", "0"]) == 2
+    assert capsys.readouterr().err == ("error: S_f(0) is not finite: f or one of its "
+                                       "derivatives is singular or not finite there\n")
+    # a zero of f' is a raise of its own
+    assert main(["schwarzian", "--catalog", "koebe_reciprocal", "--z", "1"]) == 2
+    assert capsys.readouterr().err == "error: f'((1+0j)) = 0 to tolerance\n"
 
 
 def test_schwarzian_of_a_map_whose_derivative_overflows_abs(capsys):
@@ -556,9 +567,9 @@ EXPORTED = [
     "YVanishes", "FunctionExpr", "LaurentProbe", "compose_mobius", "const_expr", "eval_jet",
     "laurent_b_check", "parse", "scale_variable", "var_expr", "B_FAMILIES", "DiskSampler",
     "Family", "FamilyVerdict", "functional_value", "injectivity_spot_check", "membership",
-    "order_estimate", "Jet3", "variable", "bisect", "golden_min", "golden_polish",
-    "quasi_random_disk", "richardson", "IntegralCheck", "OdeSolution", "PalphaVerdict",
-    "QFunction", "SharpnessResult", "check_palpha", "constant_solver", "integral_criterion",
+    "order_estimate", "Jet3", "variable", "bisect", "polish_minimum", "quasi_random_disk",
+    "richardson", "IntegralCheck", "OdeSolution", "PalphaVerdict", "QFunction",
+    "SharpnessResult", "check_palpha", "constant_solver", "integral_criterion",
     "integrate_ivp", "integrate_q", "sharpness_construct", "RadiusCheck", "RadiusResult",
     "RotationWitness", "radius_inverse_convexity", "radius_polynomial", "rotation_witness",
     "verify_radius", "schwarzian", "EquivalenceReport", "RaySolution", "ReconstructedMap",

@@ -122,8 +122,16 @@ def _assert_matches_walk(f, z):
 @example("((z)+(z))*((1e309)+(z))", [0.3 - 0.2j])
 def test_built_evaluator_matches_the_tree_walk(text, zs):
     f = parse(text)
-    for z in (*zs, np.array(zs), np.array(zs * 2).reshape(2, -1)):
+    for z in (np.array(zs), np.array(zs * 2).reshape(2, -1)):
         _assert_matches_walk(f, z)
+    # one point is the one-element array's entries, bit for bit
+    for z in zs:
+        got, want = _outcome(f.jet, z), _outcome(f.jet, np.array([z]))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.ravel(b)[0].tobytes()
 
 
 def _to_mpmath(node):
@@ -221,12 +229,12 @@ SERIES_ORDER = 8
 def test_series_mode_matches_mpmath_taylor(text, xs):
     """The series evaluator's coefficients through order 8 against
     mpmath.taylor at 50 digits, on the real points where every subtree is
-    well conditioned; the series raises exactly where the scalar jet hits a
+    well conditioned; the series raises exactly where the walk's jet hits a
     singular point, with the same error."""
     f = parse(text)
     mp_f = _to_mpmath(f.root)
     for x in xs:
-        ref = _outcome(f.jet, x)
+        ref = _outcome(lambda x: _reference(f, x), x)
         if isinstance(ref, type):
             with pytest.raises(ref):
                 f.series(x, SERIES_ORDER)
@@ -281,15 +289,14 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
     f = parse("z/4 + 1/z", singular_points=(0,))
     field = GridField(f, DiskSampler(rings=16, points_per_ring=128))
     field.verdict("bc", 0.5)
-    field.order_estimate("bc")  # the polish evaluates f pointwise
+    field.order_estimate("bc")  # the polish evaluates f on arrays of probes
     for k in range(100):
-        schwarzian(f, 0.3 + 0.004j * k)
+        schwarzian(f, 0.3 + 0.004j * k)  # one point runs as a one-element array
     f.series(0.5, 3)
     f.series(0.25, 8)
-    # one build per (mode, order): the grid and the polish read f' and f'',
-    # the Schwarzian f''' too
-    assert built == [(f.root, "array", 2), (f.root, "scalar", 2), (f.root, "scalar", 3),
-                     (f.root, "series", None)]
+    # one build per order and one series build, none for single points: the
+    # grid and the polish read f' and f'', the Schwarzian f''' too
+    assert built == [(f.root, "array", 2), (f.root, "array", 3), (f.root, "series", None)]
 
 
 def _derived_maps():
@@ -370,20 +377,21 @@ def test_structurally_equal_subtrees_become_one_step():
 ])
 def test_integer_powers_are_product_steps_by_repeated_squaring(text, steps):
     f = parse(text)
-    for mode in ("scalar", "array"):
-        assert _steps(f, mode) == steps, mode
-    for z in (0.5, complex(-0.0, -0.0), np.array([0.5, complex(-0.0, 0.0)])):
+    assert _steps(f) == steps
+    for z in (np.array([0.5]), np.array([complex(-0.0, -0.0)]),
+              np.array([0.5, complex(-0.0, 0.0)])):
         _assert_matches_walk(f, z)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1 + 0j), (0.0, -0.0)])
 def test_equal_constants_of_other_type_or_sign_stay_apart(a, b):
-    # 1.0 == 1+0j and 0.0 == -0.0, but the scalar path rounds them apart
+    # 1.0 == 1+0j and 0.0 == -0.0, but the constant fold rounds them apart
     root = _Mul(_Add(_Const(a), _Var()), _Add(_Const(b), _Var()))
     f = type(parse("z"))(root)
-    for mode in ("scalar", "array", "series"):
+    for mode in ("array", "series"):
         assert _steps(f, mode) == 3, mode
-    for z in (complex(-0.0, -0.0), 0.5, np.array([complex(-0.0, -0.0), 0.5])):
+    for z in (np.array([complex(-0.0, -0.0)]), np.array([0.5]),
+              np.array([complex(-0.0, -0.0), 0.5])):
         _assert_matches_walk(f, z)
 
 

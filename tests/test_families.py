@@ -23,7 +23,7 @@ from gftkit import (
 from gftkit import catalog, numerics
 from gftkit.catalog import get_entry
 from gftkit.cli import main
-from gftkit.families import GridField, _functionals
+from gftkit.families import GridField
 from gftkit.errors import (
     DivisionAtZero,
     EvaluationFailed,
@@ -182,9 +182,9 @@ def test_grid_and_pointwise_functionals_share_one_formula():
     assert checked >= 50
 
 
-def test_a_scalar_functional_is_the_one_point_formula():
-    # the scalar path skips the dict and the errstate of _functionals, nothing else
-    zs = [0.3 + 0.4j, np.complex128(-0.5 + 0.1j), 0.95, 0.05j, complex(-0.2, -0.0)]
+def test_a_one_point_functional_is_the_one_element_arrays():
+    # one point runs as a one-element array; only the raises at f' = 0 and f = 0 differ
+    zs = [0.3 + 0.4j, np.complex128(-0.5 + 0.1j), 0.95, 0.05j, complex(-0.2, -0.0), 0.0]
     for entry in catalog.entries():
         f = entry.expr
         for fam in Family:
@@ -193,8 +193,31 @@ def test_a_scalar_functional_is_the_one_point_formula():
                     got = functional_value(f, fam, z)
                 except (LocallyNonUnivalent, DivisionAtZero):
                     continue
-                want = float(_functionals((fam,), z, f.jet(z, 2))[fam])
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                want = functional_value(f, fam, np.array([z]))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::gftkit.errors.UnivalenceNotChecked")
+@pytest.mark.parametrize("name", catalog.names())
+def test_a_polished_minimum_is_the_functional_at_its_point(name):
+    # the polish probes on arrays, as the grid does: it never rounds below the
+    # grid minimum by arithmetic alone, and its point reproduces its value
+    f = get_entry(name).expr
+    field = GridField(f)
+    for fam in Family:
+        value, point = field.polished(fam)
+        assert value <= field._extremum(fam).best("grid points")[0], fam.value
+        again = functional_value(f, fam, np.array([point]))[0]
+        assert again.tobytes() == np.float64(value).tobytes(), fam.value
+
+
+def test_a_singular_hit_at_one_point_is_nan_as_on_arrays():
+    # the pole of z/4 + 1/z at 0 is inside the tree: no raise, as on a grid
+    f = get_entry("quarter_pole").expr
+    assert np.isnan(functional_value(f, Family.C, 0.0))
+    assert np.isnan(functional_value(f, Family.C, np.array([0.0]))[0])
+    assert functional_value(f, Family.BC, 0.0) == 1.0  # the pole-normalized limit
 
 
 def test_koebe_is_not_convex_witness_on_negative_axis():
@@ -304,7 +327,7 @@ def test_each_map_is_evaluated_once_per_grid(monkeypatch, capsys):
     jet = FunctionExpr.jet
 
     def counting_jet(self, z, order=3):
-        if np.ndim(z):
+        if np.size(z) > numerics._SWEEP_POINTS:  # a grid block, not the polish's probes
             grid_calls.append((self, np.size(z)))
         return jet(self, z, order)
 

@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 
 from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
-from gftkit.numerics import Extremum, golden_polish, ring_taylor, unique_sorted
+from gftkit.numerics import Extremum, polish_minimum, ring_taylor, unique_sorted
 from gftkit.palpha import _reporting_nodes
 from gftkit.rays import _FIRST_NODE, _N_NODES, solve_ray
-from gftkit.shared import is_scalar
-
-
-@pytest.mark.parametrize("x", [
-    0, 1.5, 0.3 + 0.4j, True, np.float64(1.5), np.complex128(1j), np.int32(3), np.bool_(False),
-    np.array(0.5), np.array(1 + 1j), np.array([0.5]), np.zeros((2, 3), complex), np.array([]),
-    [0.5, 1.0], [[1j]], [], (1.0, 2.0), "abc", None,
-], ids=repr)
-def test_is_scalar_agrees_with_ndim(x):
-    assert is_scalar(x) == (np.ndim(x) == 0)
 
 
 # -- the one reduction of a sampled quantity ---------------------------------------
@@ -92,7 +82,7 @@ def test_ray_reporting_radii_are_np_unique_of_their_parts(r_max):
     assert radii.tobytes() == np.unique(np.concatenate(parts)).tobytes()
 
 
-# -- golden polish of a grid minimum -----------------------------------------------
+# -- polish of a grid minimum in batched sweeps ------------------------------------
 
 RADII = np.linspace(0.1, 0.9, 9)
 DTH = 2.0 * np.pi / 16
@@ -102,54 +92,56 @@ TARGET = 0.537 * np.exp(0.911j)
 
 
 def _polish(fn):
-    vals = np.array([fn(z) for z in GRID])
+    vals = fn(GRID)
     i = int(np.argmin(vals))
-    return golden_polish(fn, GRID[i], float(vals[i]), dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9, rounds=3)
+    return polish_minimum(fn, GRID[i], float(vals[i]), dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9,
+                          rounds=3)
 
 
-def test_golden_polish_recovers_an_off_grid_minimum():
+def test_the_polish_recovers_an_off_grid_minimum():
     def fn(z):
-        return abs(z - TARGET) ** 2
+        return np.abs(z - TARGET) ** 2
 
     value, point = _polish(fn)
     assert abs(point - TARGET) <= 1e-9
-    assert value == fn(point)
+    assert value == fn(np.array([point]))[0]
 
 
 def test_a_failed_probe_never_wins_and_never_escapes():
     hits = {"raised": 0, "nan": 0}
 
     def fn(z):
-        d = abs(z - TARGET)
-        if d < 1e-3:
+        d = np.abs(z - TARGET)
+        if (d < 1e-4).any():  # one bad probe fails its whole batch
             hits["raised"] += 1
-            raise LocallyNonUnivalent("probe inside the bad ball")
-        if d < 2e-3:
-            hits["nan"] += 1
-            return np.nan
-        return d * d - 1.0
+            raise LocallyNonUnivalent("a probe inside the bad ball")
+        bad = d < 2e-3
+        hits["nan"] += int(bad.sum())
+        return np.where(bad, np.nan, d * d - 1.0)
 
     value, point = _polish(fn)
     assert hits["raised"] > 0 and hits["nan"] > 0
-    assert np.isfinite(value) and value == fn(point)
+    assert np.isfinite(value) and value == fn(np.array([point]))[0]
     assert abs(point - TARGET) >= 2e-3
 
     def broken(z):
         raise EvaluationFailed("every probe fails")
 
     z0 = GRID[40]
-    value, point = golden_polish(broken, z0, 0.25, dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9, rounds=2)
-    assert value == 0.25 and abs(point - z0) <= 1e-15
+    value, point = polish_minimum(broken, z0, 0.25, dr=0.1, dth=DTH, r_lo=0.1, r_hi=0.9,
+                                  rounds=2)
+    assert value == 0.25 and point == z0
 
 
 def test_a_nan_probe_steers_the_sweep_away():
-    # counted as +inf, the NaN beyond |z| = 0.52 sends the first radial step
+    # counted as +inf, the NaN beyond |z| = 0.52 sends the radial sweep
     # inward, toward the minimum at |z| = 0.47 on the start ray
     def fn(z):
-        return np.nan if abs(z) > 0.52 else (abs(z) - 0.47) ** 2 + np.angle(z) ** 2
+        return np.where(np.abs(z) > 0.52, np.nan, (np.abs(z) - 0.47) ** 2 + np.angle(z) ** 2)
 
-    value, point = golden_polish(fn, GRID[4 * 16], fn(GRID[4 * 16]), dr=0.1, dth=DTH,
-                                 r_lo=0.1, r_hi=0.9, rounds=1)
+    z0 = GRID[4 * 16]
+    value, point = polish_minimum(fn, z0, fn(np.array([z0]))[0], dr=0.1, dth=DTH,
+                                  r_lo=0.1, r_hi=0.9, rounds=1)
     assert value <= 1e-18 and abs(point - 0.47) <= 1e-9
 
 
@@ -160,15 +152,29 @@ def test_radial_probes_stay_inside_the_domain(sign):
     probed = []
 
     def fn(z):
-        probed.append(abs(z))
-        return sign * abs(z)
+        probed.extend(np.abs(z))
+        return sign * np.abs(z)
 
     grid = GRID[(np.abs(GRID) >= r_lo - 1e-12) & (np.abs(GRID) <= r_hi + 1e-12)]
     i = int(np.argmin(sign * np.abs(grid)))
-    golden_polish(fn, grid[i], sign * abs(grid[i]), dr=0.1, dth=DTH, r_lo=r_lo, r_hi=r_hi,
-                  rounds=3)
+    polish_minimum(fn, grid[i], sign * abs(grid[i]), dr=0.1, dth=DTH, r_lo=r_lo, r_hi=r_hi,
+                   rounds=3)
     assert probed
     assert r_lo - 1e-15 <= min(probed) and max(probed) <= r_hi + 1e-15
+
+
+def test_each_sweep_probes_in_small_batches():
+    # a smooth minimum is found in a few array calls of nine points each
+    sizes = []
+
+    def fn(z):
+        sizes.append(z.size)
+        return np.abs(z - TARGET) ** 2
+
+    _polish(fn)
+    polish_calls = sizes[1:]  # after the grid
+    assert set(polish_calls) == {9}
+    assert len(polish_calls) <= 6 * 8
 
 
 # -- Taylor coefficients from a ring of samples ------------------------------------

@@ -343,11 +343,12 @@ def test_a_series_that_vanishes_at_the_step_start_does_not_take_the_span():
 
 
 def test_a_branch_point_at_the_step_start_is_interpolated():
-    # q = 3 x^0.5 has no Taylor series at x = 0 (and q(0) raises), so the
-    # first steps interpolate q inside the step
+    # q = 3 x^0.5 has no Taylor series at x = 0 (its series raises, and q(0)
+    # is NaN, as on arrays), so the first steps interpolate q inside the step
     q = QFunction.from_expression("3*x^0.5")
     with pytest.raises(BranchPointOrPole):
-        q(0.0)
+        q._series(0.0, 3)
+    assert math.isnan(q(0.0))
     assert integrate_q(q) == pytest.approx(2.0, abs=1e-10)
     _agrees_with_dop853(q, lambda x: 3.0 * math.sqrt(x))
 
@@ -431,6 +432,16 @@ def test_integral_with_mass_concentrated_at_the_boundary():
     # at n = 200; the geometric end segments must pick all of it up
     q = QFunction.from_expression("201*x^200")
     assert integrate_q(q) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("text", ["1/(1-x)^0.25", "1/(1-x)^0.5"])
+def test_an_integral_that_needs_q_at_its_singular_end_is_refused_by_name(text):
+    # the mass beyond the last x at which q can be read (1 - 1e-13 and more)
+    # exceeds the promised 1e-10: ~2.5e-10 for ^0.25, so the integral is refused
+    q = QFunction.from_expression(text)
+    with pytest.raises(QuadratureFailed, match=rf"q = {re.escape(q.label)} cannot be evaluated "
+                                               r"at x = 0\.99999999999\d+: non-integer power"):
+        integrate_q(q)
 
 
 def _trapezoid(xs, vs):

@@ -14,7 +14,7 @@ from gftkit import (
     schwarzian_norm,
     weighted_modulus,
 )
-from gftkit.errors import EvaluationFailed
+from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
 
 RNG = np.random.default_rng(2718)
 
@@ -153,3 +153,51 @@ def test_norm_rejects_toy_grids():
         schwarzian_norm(f, rings=4)
     with pytest.raises(ValueError):
         schwarzian_norm(f, points_per_ring=32)
+
+
+# S_f is analytic at a simple pole of f (S_{1/f} = S_f), where f's jets nearly
+# cancel: the norm reads it there from a Cauchy ring, on the grid and in the polish
+NORM_SUPREMA = [("quarter_pole", 1.5)] + [
+    (f"cot_scaled_a{round(100 * a):03d}", 2.0 * (1.0 - a) / np.pi) for a in (0.0, 0.3, 0.5)
+]
+
+
+@pytest.mark.parametrize("grid", [(64, 512), (24, 128)], ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("name, sup", NORM_SUPREMA, ids=[n for n, _ in NORM_SUPREMA])
+def test_a_norm_near_a_pole_is_a_lower_bound_of_the_supremum(name, sup, grid):
+    est = schwarzian_norm(catalog.get_entry(name).expr, rings=grid[0], points_per_ring=grid[1])
+    assert sup - 1e-6 <= est.lower_bound <= sup + 1e-12, (name, est.lower_bound - sup)
+
+
+@pytest.mark.parametrize("grid", [(64, 512), (24, 128)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_the_norm_of_a_mobius_map_with_a_pole_is_zero(grid):
+    est = schwarzian_norm(catalog.get_entry("mobius_pole").expr, rings=grid[0],
+                          points_per_ring=grid[1])
+    assert est.lower_bound <= 1e-12
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.entries() if e.expr.singular_points])
+def test_each_declared_pole_gets_a_cauchy_ring(name):
+    # S_f is analytic on the disk of radius 1/2 about each catalog map's
+    # declared point, so the first ring passes with a roundoff-level tail
+    from gftkit.numerics import ring_taylor
+    from gftkit.schwarzian import _pole_polynomials
+
+    f = catalog.get_entry(name).expr
+    ((c, radius, coef),) = _pole_polynomials(f)
+    assert c == 0 and radius == 0.5
+    _, tail, _ = ring_taylor(lambda z: schwarzian(f, z), [c], [1.0], radius, 64)
+    assert tail[0] <= 1e-14
+    # the polynomial is S_f where the jets are well conditioned
+    z = 0.2 * np.exp(1j * np.linspace(0.0, 6.0, 7))
+    ring = sum(a * z**k for k, a in enumerate(coef))
+    assert np.max(np.abs(ring - schwarzian(f, z))) <= 1e-12 * max(1.0, np.max(np.abs(ring)))
+
+
+def test_one_point_at_a_pole_is_nan_and_a_zero_of_f_prime_raises():
+    # one point runs as a one-element array: a singular hit inside the tree is NaN
+    assert np.isnan(schwarzian(catalog.get_entry("quarter_pole").expr, 0.0))
+    with pytest.raises(LocallyNonUnivalent):
+        schwarzian(catalog.get_entry("koebe_reciprocal").expr, 1.0)
+    with pytest.raises(LocallyNonUnivalent):
+        pre_schwarzian(catalog.get_entry("koebe_reciprocal").expr, -1.0)
