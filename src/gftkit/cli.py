@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--rings", type=int, default=64)
     p.add_argument("--points", type=int, default=512)
-    p.add_argument("--refine", type=int, default=3, help="golden-section polish rounds")
+    p.add_argument("--refine", type=int, default=3, help="rounds of polish sweeps in radius and angle")
     _add_common(p, _cmd_norm, ".schwarzian")
 
     p = sub.add_parser("palpha", help="positivity-class membership for a coefficient q")

@@ -1,14 +1,15 @@
 """The tree compiler behind FunctionExpr's evaluators.
 
-``_build_path(root, mode, order)`` turns an expression tree from
-``expressions`` into its jet evaluator of one order, which runs on arrays of
-points, or its Taylor-series evaluator.  It lives apart from the tree and
+``_build_path(root, mode)`` turns an expression tree from ``expressions``
+into its jet evaluator, which runs on arrays of points at any order 0 to 3,
+or its Taylor-series evaluator.  It lives apart from the tree and
 the parser because it needs numpy, which they do not.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,9 +22,8 @@ from .numerics import _RING_BLOCK_POINTS
 
 # -- the built evaluators ------------------------------------------------------
 #
-# A FunctionExpr builds one jet evaluator per order it is asked for and one
-# series evaluator, each once, on first use, by one compiler, _Builder, in
-# the matching mode.
+# A FunctionExpr builds one jet and one series evaluator, each once, on
+# first use, by one compiler, _Builder, which plans the tree once per mode.
 #
 # The step list.  The builder hash-conses the tree: each distinct subtree
 # becomes one plan, and each plan that is not a constant one step of a flat
@@ -53,24 +53,28 @@ from .numerics import _RING_BLOCK_POINTS
 # a step.  Only a series f^n of a non-constant f is one step, the
 # jets.series_int_pow recurrence.
 #
-# The orders.  In jet mode the seed is z and each entry, the jet at
-# the root included, a tuple (v0, ..., vn) through the order n: jets.rule and
-# jets.linear_rule compile each pruned rule once, for the kinds of its
-# inputs' four entries and the order, to one expression over those tuples,
-# and the outer helpers compute only the derivatives through n.  Component k
-# of every rule reads only entries 0..k of its inputs, so an evaluator of
-# order n computes the leading entries of the order-3 jet bit for bit and
-# skips the rest.  In series mode the seed is the variable's series
-# (x0, 1, 0, ...) about a real point x0 and the entries are complex Taylor
-# coefficients through the seed's order, from jets' truncated-series
-# recurrences.  A series rule holds its constant operand: a product scales
-# the other series by the constant's value instead of convolving, and a sum
-# builds the constant's series for the length of the other.
+# The orders.  A plan's kinds do not depend on the order.  A jet step holds
+# its operation's rules for its inputs' kinds, shared by every map
+# (_jet_rules), and a call of order n emits the order-n rule on its first
+# use: jets.rule's and jets.linear_rule's pruned rules, one expression over
+# the input tuples, and outer helpers that compute only the derivatives
+# through n.  The seed is (z, 1, 0, 0) and each entry a tuple (v0, ..., vn);
+# component k of every rule reads only entries 0..k of its inputs, so a
+# call of order n computes the leading entries of the order-3 jet bit for
+# bit.  In series mode the seed is the variable's series (x0, 1, 0, ...)
+# about a real point x0, the entries are complex Taylor coefficients through
+# the seed's order, from jets' truncated-series recurrences, and a rule
+# holds its constant operand: a product scales the other series by the
+# constant's value instead of convolving, and a sum builds the constant's
+# series for the length of the other.
 #
-# One arithmetic path.  A one-point call runs on a one-element array, so a
-# point's jet is the grid's there, bit for bit: complex products and
-# quotients round by type.  Constants are held as 1-element arrays, so
-# every product runs as an array product, as in the walk on arrays.
+# One arithmetic path.  Every map, a constant one included, runs its steps
+# on arrays and returns arrays of z's shape; one point runs as a one-element
+# array, so its jet is the grid's there, bit for bit: complex products and
+# quotients round by type.  Constants are held as read-only 1-element
+# arrays, so products run as array products, as in the walk on arrays; an
+# entry a call did not compute (a held constant, a structural 0 or 1) is
+# returned as a fresh array.
 
 
 class _Plan(NamedTuple):
@@ -100,18 +104,13 @@ def _const_kinds(values, mode):
     return tuple(kinds)
 
 
-def _held(values, mode):
-    """Constant entries as the path holds them: 1-element arrays on the array path."""
-    return tuple(np.array(values, dtype=complex)[:, None]) if mode == _ARRAY else values
-
-
-def _raiser(exc):
+def _raiser(exc, mode):
     cls, args = type(exc), exc.args
 
     def fn(seed):
         raise cls(*args)
 
-    return fn
+    return fn if mode == _SERIES else lambda order: fn  # in jet mode, the rule at every order
 
 
 def _series_const(v0):
@@ -170,7 +169,7 @@ def _outer_op(outer, series, guarded, branched=False):
         ka = plans[0].kinds
         kg = jets.NONFINITE if ka[0] == jets.NONFINITE else jets.VALUE
         r, out = jets.rule("chain", (kg,) * 4 + ka, order)
-        if guarded and mode == _ARRAY:
+        if guarded:
             # a masked point makes every entry NaN: nothing stays structural
             out = tuple(k if k == jets.NONFINITE else jets.VALUE for k in out)
         g_of = (lambda x, n: outer(jets.complex_arg(x), n)) if branched and mode == _FOLD else outer
@@ -185,6 +184,19 @@ def _outer_op(outer, series, guarded, branched=False):
     return compile_op
 
 
+_power_op = lru_cache(maxsize=256)(  # the principal power x^c, one operation per exponent c
+    lambda c: _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True))
+
+
+@lru_cache(maxsize=4096)
+def _jet_rules(compile_op, kinds):
+    """(order -> the jet rule of ``compile_op`` on inputs of ``kinds``, emitted
+    on first use; the output kinds), shared by every map."""
+    plans = tuple(map(_Plan, kinds))
+    emit = lru_cache(maxsize=None)(lambda order: compile_op(plans, _ARRAY, order)[0])
+    return emit, compile_op(plans, _ARRAY, 3)[1]
+
+
 _RECIPROCAL = _outer_op(jets.reciprocal_outer, jets.series_reciprocal, True)
 _FUNCTIONS = {name: _outer_op(outer, jets.SERIES[name], name in jets.GUARDED, name in jets.BRANCHED)
               for name, outer in jets.OUTER.items()}
@@ -193,15 +205,15 @@ _NEG = _linear_op("neg")
 
 
 class _Builder:
-    """The hash-consed plans and the step list of one tree, for one mode and
-    order.  Plans are numbered; plan 0 is the variable."""
+    """The hash-consed plans and the step list of one tree, for one mode.
+    Plans are numbered; plan 0 is the variable."""
 
-    def __init__(self, mode, order):
-        self.mode, self.order = mode, order
+    def __init__(self, mode):
+        self.mode = mode
         self.plans = [_Plan((jets.VALUE, jets.ONE, jets.ZERO, jets.ZERO))]
         self.keys = {}  # key -> plan number
         self.seen = {}  # id(node) -> plan number: a tree may hold one node object many times
-        self.steps = []  # (rule, input plan numbers, output plan number), in run order
+        self.steps = []  # (rule, input plans, output plan), in run order
 
     def root(self, node) -> int:
         """The plan of the whole tree; in series mode a constant map is a
@@ -238,8 +250,7 @@ class _Builder:
             a = self.plan(node.child)
             c = float(node.exponent)
             if not c.is_integer():
-                op = _outer_op(jets.pow_outer(c), jets.series_pow(c), True, True)
-                return self._op(op, ("^", c), a)
+                return self._op(_power_op(c), ("^", c), a)
             n = int(c)
             if n and self.mode == _SERIES and self.plans[a].const is None:
                 pw = jets.series_int_pow(abs(n))  # one step, not one per squaring
@@ -255,12 +266,12 @@ class _Builder:
             return p if n >= 0 else self._op(_RECIPROCAL, "1/", p)
         raise TypeError(type(node))  # pragma: no cover
 
-    def _keyed(self, key, plan, inputs=None, fn=None) -> int:
+    def _keyed(self, key, plan, inputs=None, rule=None) -> int:
         """The number of the new plan ``plan`` under ``key``, with its step."""
         p = self.keys[key] = len(self.plans)
         self.plans.append(plan)
-        if fn is not None:
-            self.steps.append((fn, inputs, p))
+        if rule is not None:
+            self.steps.append((rule, inputs, p))
         return p
 
     def _literal(self, value) -> int:
@@ -284,14 +295,17 @@ class _Builder:
             try:
                 return self._constant(key, tuple(fold(*consts)))
             except GftError as exc:
-                return self._keyed(key, _Plan(_FULL), (0,), _raiser(exc))
-        fn, kinds = compile_op(plans, self.mode, self.order)
-        if self.mode == _SERIES:  # a series rule holds its constant operand
+                return self._keyed(key, _Plan(_FULL), (0,), _raiser(exc, self.mode))
+        if self.mode == _SERIES:  # a series rule takes no order and holds its constant operand
+            fn, kinds = compile_op(plans, _SERIES, None)
             children = tuple(c for c, const in zip(children, consts) if const is None)
-        return self._keyed(key, _Plan(kinds), children, fn)
+            return self._keyed(key, _Plan(kinds), children, fn)
+        emit, kinds = _jet_rules(compile_op, tuple(p.kinds for p in plans))
+        return self._keyed(key, _Plan(kinds), children, emit)
 
     def runner(self, top):
-        """The steps as one function: seed -> the entries of plan ``top``."""
+        """The steps as one function: (seed, order) -> the entries of plan
+        ``top``, with one slot layout for every order."""
         steps, plans, n = self.steps, self.plans, len(self.steps)
         last = {}  # plan -> index of the step that reads it last
         for i, step in enumerate(steps):
@@ -301,12 +315,13 @@ class _Builder:
         slots, template = {0: _SEED}, [None, None]
         for p in last:
             const = plans[p].const
-            if const is not None:  # in a slot of its own, which no step frees
-                slots[p] = len(template)
-                template.append(_held(const[:self.order + 1], self.mode))
+            if const is not None:  # read-only, in a slot of its own, which no step frees
+                slots[p], held = len(template), np.array(const, dtype=complex)[:, None]
+                held.flags.writeable = False
+                template.append(tuple(held))
                 last[p] = n + 1
-        program, free = [], []
-        for i, (fn, inputs, out) in enumerate(steps):
+        rules, layout, free = tuple(step[0] for step in steps), [], []
+        for i, (_, inputs, out) in enumerate(steps):
             dying = [slots[p] for p in set(inputs) if last[p] == i]
             if out not in last:
                 to = _UNREAD
@@ -317,16 +332,20 @@ class _Builder:
             else:
                 to = len(template)
                 template.append(None)
-            program.append((fn, slots[inputs[0]], slots[inputs[1]] if len(inputs) > 1 else None,
-                            to, dying[0] if dying else _UNREAD))
+            layout.append((slots[inputs[0]], slots[inputs[1]] if len(inputs) > 1 else None,
+                           to, dying[0] if dying else _UNREAD))
             slots[out] = to
             free += dying
-        program, root = tuple(program), slots[top]
+        layout, root = tuple(layout), slots[top]
+        programs = {None: rules} if self.mode == _SERIES else {}
 
-        def run(seed):
+        def run(seed, order):
+            program = programs.get(order)
+            if program is None:
+                program = programs[order] = tuple(emit(order) for emit in rules)
             v = template.copy()
             v[_SEED] = seed
-            for fn, a, b, to, dead in program:
+            for fn, (a, b, to, dead) in zip(program, layout):
                 v[to] = fn(v[a]) if b is None else fn(v[a], v[b])
                 v[dead] = None
             return v[root]
@@ -334,53 +353,42 @@ class _Builder:
         return run
 
 
-def _build_path(root, mode, order=None):
-    """The evaluator of the tree ``root`` in ``mode``: z (a point or an array)
-    -> (f, f', ..., f^(order)), order 0 to 3, or (x0, n) -> the complex
-    Taylor coefficients 0..n about the real point x0."""
-    if mode == _SERIES:
-        order = 3
-    elif order not in (0, 1, 2, 3):
-        raise ValueError(f"jet order must be 0, 1, 2 or 3, got {order!r}")
-    builder = _Builder(mode, order)
+def _build_path(root, mode):
+    """The evaluator of the tree ``root`` in ``mode``: (z, order) -> (f, f',
+    ..., f^(order)) at a point or an array of points z, order 0 to 3, or
+    (x0, n) -> the complex Taylor coefficients 0..n about the real point x0."""
+    builder = _Builder(mode)
     with np.errstate(all="ignore"):  # folding constants may overflow, as the walk would
         top = builder.root(root)
-    plan, run = builder.plans[top], builder.runner(top)
+    run = builder.runner(top)
     if mode == _SERIES:
         def series(x0, n):
             s = np.zeros(int(n) + 1, dtype=complex)
             s[0], s[1:2] = float(x0), 1.0
             with np.errstate(all="ignore"):  # overflow and singular values stay inf or NaN
-                return run(s)
+                return run(s, None)
 
         return series
 
-    tail = (1.0, 0.0, 0.0)[:order]
-    if plan.const is not None:  # a constant map (or f^0) keeps the walk's scalars
-        const = plan.const[:order + 1]
-
-        def jet(z):
-            run((np.asarray(z, dtype=complex).reshape(-1),) + tail)  # for the steps' errors
-            return const
-        return jet
-
-    def jet(z):
+    def jet(z, order):
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"jet order must be 0, 1, 2 or 3, got {order!r}")
         z = np.asarray(z, dtype=complex)
         if not z.ndim:  # one point: the entries of its one-element array's jet
-            return tuple(v[0] for v in jet(z.reshape(1)))
+            return tuple(v[0] for v in jet(z.reshape(1), order))
         with np.errstate(all="ignore"):  # arrays NaN-mask overflow and singular hits
             if z.size <= _RING_BLOCK_POINTS:
-                out = run((z,) + tail)
-                # entries that do not vary with z are scalars or 1-element arrays until here
-                return tuple(v if np.shape(v) == z.shape else np.full(z.shape, v, dtype=complex)
-                             for v in out)
+                out = run((z, 1.0, 0.0, 0.0), order)[:order + 1]
+                # an entry the call did not compute is returned as a fresh array
+                return tuple(v if np.shape(v) == z.shape and v.flags.writeable
+                             else np.full(z.shape, v, dtype=complex) for v in out)
             # numpy reorders complex products on temporaries of 16 384 points or
             # more, which moves last bits: a longer array runs in blocks, so a
             # point's jet does not depend on the length of its array
             flat, out = z.reshape(-1), [np.empty(z.size, dtype=complex) for _ in range(order + 1)]
             for i in range(0, z.size, _RING_BLOCK_POINTS):
                 block = slice(i, i + _RING_BLOCK_POINTS)
-                for whole, v in zip(out, run((flat[block],) + tail)):
+                for whole, v in zip(out, run((flat[block], 1.0, 0.0, 0.0), order)):
                     whole[block] = v
         return tuple(v.reshape(z.shape) for v in out)
 

@@ -412,21 +412,19 @@ class FunctionExpr:
 
     def jet(self, z, order: int = 3) -> tuple:
         """(f, f', ..., f^(order)) at one point or an array of points z, order
-        0 to 3: NaN at singular hits; one point as a one-element array's."""
-        evaluator = self._evaluators.get(order)
-        if evaluator is None:
-            from .compiler import _build_path
-
-            evaluator = self._evaluators[order] = _build_path(self.root, "array", order)
-        return evaluator(z)
+        0 to 3: arrays of z's shape, NaN at singular hits; one point as a
+        one-element array's.  One evaluator serves every order."""
+        return self._jet(z, order)
 
     # The evaluators are built on first use and kept for the life of the map:
-    # one jet evaluator per order asked for, and one series evaluator.
-    # They are not fields: equality, hash and repr ignore them.  The first
-    # build in a process imports the compiler, and numpy with it.
+    # one jet evaluator, which takes the order per call, and one series
+    # evaluator.  They are not fields: equality, hash and repr ignore them.
+    # The first build in a process imports the compiler, and numpy with it.
     @cached_property
-    def _evaluators(self):
-        return {}
+    def _jet(self):
+        from .compiler import _build_path
+
+        return _build_path(self.root, "array")
 
     @cached_property
     def series(self):
@@ -438,7 +436,7 @@ class FunctionExpr:
 
     def __getstate__(self):
         # the evaluators are closures; a copy rebuilds them on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_evaluators", "series")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_jet", "series")}
 
     def value(self, z):
         return self.jet(z, 0)[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivisionAtZero, LocallyNonUnivalent, UnivalenceNotChecked
 from .expressions import FunctionExpr
-from .jets import point_near_zero
+from .jets import near_zero
 from .numerics import (Extremum, as_points, polish_minimum, quasi_random_disk, ring_blocks,
                        ring_points)
 from .shared import B_FAMILIES, Family
@@ -132,9 +132,9 @@ def functional_value(f: FunctionExpr, family: Family, z):
     zs, point = as_points(z)
     jet = f.jet(zs, 2)
     if point and not (zs[0] == 0 and family in B_FAMILIES):
-        if family in _CONVEX and point_near_zero(jet[1]):
+        if family in _CONVEX and near_zero(complex(jet[1][0])):
             raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
-        if family in _STARLIKE and point_near_zero(jet[0]):
+        if family in _STARLIKE and near_zero(complex(jet[0][0])):
             raise DivisionAtZero(f"f({z}) = 0 to tolerance")
     val = _functionals((family,), zs, jet)[family]
     val = np.where(zs == 0, 1.0, val) if family in B_FAMILIES else val

@@ -11,8 +11,8 @@ evaluation NaN-masks the offending entries instead, so grid sweeps can
 skip isolated bad points and count them.
 
 Jet3 arithmetic is the reference.  Maps parsed by ``expressions`` evaluate
-through evaluators that ``compiler`` builds once per map and order from the
-same outer-derivative helpers and from ``rule`` / ``linear_rule`` below,
+through evaluators that ``compiler`` builds once per map from the same
+outer-derivative helpers and from ``rule`` / ``linear_rule`` below,
 which compile each product, chain and linear rule once, for the kinds of
 its inputs and the order, to one expression over the input tuples without
 the products a structural 0 or 1 makes; an integer power is the product
@@ -49,11 +49,6 @@ def near_zero(value, tol: float = SINGULAR_TOL) -> bool:
     # abs() of a Python complex and np.abs may differ in the last bit:
     # only a near tie needs np.abs, which decides as it always has
     return mag < 2.0 * tol and np.abs(value) < tol
-
-
-def point_near_zero(entry) -> bool:
-    """``near_zero`` of a one-point jet entry (a constant map's is a scalar)."""
-    return near_zero(complex(np.ravel(entry)[0]))
 
 
 def _guard(values, tol, exc, msg):

@@ -94,9 +94,7 @@ class QFunction:
         e = expr if isinstance(expr, FunctionExpr) else parse(str(expr), variable="x")
         if e.variable != "x":
             raise ValueError("coefficient expressions use the variable x")
-        with np.errstate(all="ignore"):
-            v = np.asarray(e.value(_PROBES.astype(complex)), dtype=complex)
-        v = np.broadcast_to(v, _PROBES.shape)  # a constant evaluates to a scalar
+        v = e.value(_PROBES.astype(complex))
         if not np.isfinite(v).any():
             raise ValueError(f"coefficient {e} is not finite at any probe point of (0, 1)")
         bad = np.isfinite(v) & (np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v.real)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvaluationFailed, LocallyNonUnivalent
 from .expressions import FunctionExpr, compose_mobius
-from .jets import point_near_zero
+from .jets import near_zero
 from .numerics import Extremum, as_points, polish_minimum, ring_blocks, ring_taylor
 
 
@@ -25,7 +25,7 @@ def _at(f: FunctionExpr, z, order: int, formula):
     as a one-element array and raises LocallyNonUnivalent where f'(z) = 0."""
     zs, point = as_points(z)
     jet = f.jet(zs, order)
-    if point and point_near_zero(jet[1]):
+    if point and near_zero(complex(jet[1][0])):
         raise LocallyNonUnivalent(f"f'({z}) = 0 to tolerance")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = formula(jet)

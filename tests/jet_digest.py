@@ -1,6 +1,7 @@
-"""Print one sha256 over the full-precision jets and series of the catalog
-maps, of the maps the theorem and invariance checks derive from them, and
-of seeded random expression trees.
+"""Print two sha256 digests over the full-precision jets and series of the
+catalog maps, of the maps the theorem and invariance checks derive from
+them, and of seeded random expression trees: the full digest, then the
+values-only digest.
 
 Run it on two checkouts to show that a change to the evaluators moves no
 bit of any jet or series::
@@ -17,11 +18,15 @@ covers the one-point and the array jets of every order 0 to 3 and order-5
 series about three centres.
 
 A jet is read entry by entry, whether it is a Jet3 or a tuple, and an
-entry above the jet's order, which a Jet3 holds as None, is skipped.  A NaN
-enters the digest by its place alone: its sign and payload bits are not
-part of the result (numpy's may depend on what the process ran before).  A
-raised error enters as its repr.  Not a test module: pytest does not
-collect it.
+entry above the jet's order, which a Jet3 holds as None, is skipped.  The
+full digest hashes each entry's type name, shape and values; the
+values-only digest hashes only its values, broadcast to the shape of the
+points it was evaluated at, so a change of return type (a scalar that
+becomes an array of the points' shape) moves the first line and not the
+second.  A NaN enters both by its place alone: its sign and payload bits
+are not part of the result (numpy's may depend on what the process ran
+before).  A raised error enters as its repr.  Not a test module: pytest
+does not collect it.
 """
 
 import hashlib
@@ -79,52 +84,64 @@ def _derived(f):
             "T(f)": compose_mobius(f, 1.0, 2.0, 0.5, 3.0), "2f": 2.0 * f, "if": 1j * f}
 
 
-def _feed(digest, value):
-    digest.update(type(value).__name__.encode())
-    a = np.asarray(value, dtype=complex)
-    digest.update(str(a.shape).encode())
+def _update(digests, data):
+    for digest in digests:
+        digest.update(data)
+
+
+def _feed_values(digest, a):
     for part in (a.real, a.imag):
         nan = np.isnan(part)
         digest.update(nan.tobytes())
         digest.update(np.where(nan, 0.0, part).tobytes())
 
 
-def _entries(digest, fn, *args):
+def _feed(digests, value, shape):
+    """One entry into the full digest, with its type name and shape, and
+    into the values-only digest, broadcast to ``shape`` where one is given."""
+    full, values = digests
+    full.update(type(value).__name__.encode())
+    a = np.asarray(value, dtype=complex)
+    full.update(str(a.shape).encode())
+    _feed_values(full, a)
+    _feed_values(values, a if shape is None else np.broadcast_to(a, shape))
+
+
+def _entries(digests, fn, *args, shape=None):
     try:
         out = fn(*args)
     except Exception as exc:  # every outcome enters the digest, errors included
-        digest.update(repr(exc).encode())
+        _update(digests, repr(exc).encode())
         return
     if hasattr(out, "v0"):
         out = (out.v0, out.v1, out.v2, out.v3)
     for value in out if isinstance(out, tuple) else (out,):
         if value is not None:
-            _feed(digest, value)
+            _feed(digests, value, shape)
 
 
 def main():
-    digest = hashlib.sha256()
+    digests = (hashlib.sha256(), hashlib.sha256())
     with np.errstate(all="ignore"):
         for entry in entries():
             for name, g in _derived(entry.expr).items():
-                digest.update(f"{entry.name} {name}".encode())
-                for z in SCALAR_POINTS:
-                    _entries(digest, g.jet, z)
-                for z in ARRAYS:
-                    _entries(digest, g.jet, z)
+                _update(digests, f"{entry.name} {name}".encode())
+                for z in SCALAR_POINTS + ARRAYS:
+                    _entries(digests, g.jet, z, shape=np.shape(z))
                 for x0 in SERIES_CENTRES:
-                    _entries(digest, g.series, x0, 8)
+                    _entries(digests, g.series, x0, 8)
         rng = random.Random(TREE_SEED)
         for _ in range(TREES):
             text = _tree(rng)
-            digest.update(text.encode())
+            _update(digests, text.encode())
             f = parse(text)
             for order in range(4):
                 for z in TREE_POINTS + (TREE_ARRAY,):
-                    _entries(digest, f.jet, z, order)
+                    _entries(digests, f.jet, z, order, shape=np.shape(z))
             for x0 in SERIES_CENTRES:
-                _entries(digest, f.series, x0, 5)
-    print(digest.hexdigest())
+                _entries(digests, f.series, x0, 5)
+    for digest in digests:
+        print(digest.hexdigest())
 
 
 if __name__ == "__main__":

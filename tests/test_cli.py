@@ -114,6 +114,20 @@ def test_evaluation_errors_exit_two(capsys):
                 + FAST) == 2  # sufficiency needs --q or --q-const
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--rings", "8", "--points", "64"],
+    ["factor-check", "--rays", "8"] + FAST,
+])
+def test_a_constant_map_fails_as_its_non_folded_form_does(argv, capsys):
+    # 3 and z^0 fold to constants; 2+0*z does not, and reports the failure
+    assert main(argv + ["--expr", "2+0*z"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: ") and want.count("\n") == 1
+    for text in ("3", "z^0"):
+        assert main(argv + ["--expr", text]) == 2, text
+        assert capsys.readouterr().err == want, text
+
+
 def test_grid_overflow_reports_the_error_line_alone():
     # the jets NaN-mask overflow; numpy's RuntimeWarnings must not reach stderr
     src = os.path.dirname(os.path.dirname(gftkit.__file__))

@@ -97,7 +97,12 @@ def _components(jet):
 
 def _assert_same(built, ref):
     """Equal under == where the walk is finite, with the same non-finite
-    mask, shape and type (a caller's division rounds by type)."""
+    mask, shape and type (a caller's division rounds by type); where the
+    walk's entry does not vary with the points (a constant map's), the built
+    one is a complex array of their shape."""
+    if isinstance(built, np.ndarray) and not isinstance(ref, np.ndarray):
+        assert built.dtype == complex
+        ref = np.full(built.shape, ref, dtype=complex)
     assert type(built) is type(ref) or isinstance(ref, np.ndarray)
     assert np.shape(built) == np.shape(ref)
     fb, fr = np.isfinite(built), np.isfinite(ref)
@@ -280,9 +285,9 @@ def test_schwarzian_is_mobius_and_reciprocal_invariant(text, mobius, zs):
 def test_each_map_builds_each_evaluator_once(monkeypatch):
     built = []
 
-    def counting(root, mode, order=None):
-        built.append((root, mode, order))
-        return build(root, mode, order)
+    def counting(root, mode):
+        built.append((root, mode))
+        return build(root, mode)
 
     build = compiler._build_path
     monkeypatch.setattr(compiler, "_build_path", counting)
@@ -294,9 +299,9 @@ def test_each_map_builds_each_evaluator_once(monkeypatch):
         schwarzian(f, 0.3 + 0.004j * k)  # one point runs as a one-element array
     f.series(0.5, 3)
     f.series(0.25, 8)
-    # one build per order and one series build, none for single points: the
-    # grid and the polish read f' and f'', the Schwarzian f''' too
-    assert built == [(f.root, "array", 2), (f.root, "array", 3), (f.root, "series", None)]
+    # one jet build and one series build, none for single points: the grid
+    # and the polish read f' and f'', the Schwarzian f''' too, all from one plan
+    assert built == [(f.root, "array"), (f.root, "series")]
 
 
 def _derived_maps():
@@ -354,7 +359,7 @@ def _nodes(node):
 
 
 def _steps(f, mode="array"):
-    builder = compiler._Builder(mode, 3)
+    builder = compiler._Builder(mode)
     builder.root(f.root)
     return len(builder.steps)
 
@@ -470,3 +475,17 @@ def test_positive_real_constants_keep_the_real_function(text, value):
     assert f.jet(1.0)[0] == value
     assert f.series(1.0, 0)[0] == value
     assert f.jet(np.array([1.0, 1.0]))[0][0] == value
+
+
+@pytest.mark.parametrize("text", ["3", "3*z"])
+def test_a_returned_jet_shares_no_array_with_the_evaluator(text):
+    # 3*z's f' is the held constant 3 until the call returns it: writing into
+    # any entry of a returned jet must not reach the next call
+    f = parse(text)
+    want = [v.tobytes() for v in f.jet(np.array([0.2, 0.5]))]
+    for z in (np.array([0.5]), np.array([0.5, -0.25j])):
+        for order in range(4):
+            for v in f.jet(z, order):
+                v[...] = 99.0
+            assert [v.tobytes() for v in f.jet(np.array([0.2, 0.5]))] == want, order
+    assert f.jet(0.2, 1) == (complex(f.jet(0.2)[0]), 3.0 if text == "3*z" else 0.0)

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from gftkit import (
+    catalog,
     compose_mobius,
     eval_jet,
     laurent_b_check,
@@ -160,6 +161,20 @@ def test_scale_variable_values_and_metadata():
     z = _samples(20) * 0.2
     assert np.allclose(g.value(z), f.value(2.0 * z), rtol=1e-15)
     assert g.singular_points == (0.25 + 0j,)
+
+
+@pytest.mark.parametrize("name", ["cot_scaled_a030", "inverse_log", "power_ratio_a025",
+                                  "koebe", "half_plane_log"])
+def test_scale_variable_substitutes_under_functions_powers_and_negations(name):
+    # these trees hold cot, log, powers or a negation: f(lam z) and its
+    # derivative lam f'(lam z)
+    f = catalog.get_entry(name).expr
+    for lam in (0.7, 0.5 - 0.4j):
+        g = scale_variable(f, lam)
+        z = _samples(20) * 0.9
+        got, want = g.jet(z, 1), f.jet(lam * z, 1)
+        assert np.array_equal(got[0], want[0]), lam
+        assert np.all(np.abs(got[1] - lam * want[1]) <= 1e-12 * np.abs(lam * want[1])), lam
 
 
 def test_compose_mobius_values():

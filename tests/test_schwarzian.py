@@ -15,6 +15,8 @@ from gftkit import (
     weighted_modulus,
 )
 from gftkit.errors import EvaluationFailed, LocallyNonUnivalent
+from gftkit.numerics import ring_taylor
+from gftkit.schwarzian import _pole_polynomials
 
 RNG = np.random.default_rng(2718)
 
@@ -201,3 +203,27 @@ def test_one_point_at_a_pole_is_nan_and_a_zero_of_f_prime_raises():
         schwarzian(catalog.get_entry("koebe_reciprocal").expr, 1.0)
     with pytest.raises(LocallyNonUnivalent):
         pre_schwarzian(catalog.get_entry("koebe_reciprocal").expr, -1.0)
+
+
+@pytest.mark.parametrize("text", ["3", "z^0", "2+0*z"])
+def test_a_constant_map_has_nan_schwarzian_on_arrays(text):
+    # f' = 0 everywhere: NaN at every point of an array, a raise at one point
+    f, zs = parse(text), np.array([0.1, 0.3 - 0.2j, 0.5j])
+    for values in (schwarzian(f, zs), pre_schwarzian(f, zs), weighted_modulus(f, zs)):
+        assert values.shape == zs.shape and np.isnan(values).all()
+    with pytest.raises(LocallyNonUnivalent):
+        schwarzian(f, 0.1)
+
+
+def test_a_ring_whose_tail_is_too_large_is_halved():
+    # the two poles are 0.3 apart: the first ring, R = 0.15, passes close to
+    # the other pole and its tail is 1.5e-8; the halved ring's is 7.9e-16
+    f = parse("1/z + 1/(z-0.3)", singular_points=(0, 0.3))
+    _, tail, _ = ring_taylor(lambda z: schwarzian(f, z), [0.0], [1.0], 0.15, 64)
+    assert tail[0] > 1e-10
+    polys = _pole_polynomials(f)
+    assert [(c, radius) for c, radius, _ in polys] == [(0j, 0.075), (0.3 + 0j, 0.075)]
+    for c, radius, coef in polys:
+        z = c + 0.25 * radius * np.exp(2j * np.pi * np.arange(16) / 16)
+        ring, jets = np.polyval(coef[::-1], z - c), schwarzian(f, z)
+        assert np.all(np.abs(ring - jets) <= 1e-9 * np.abs(jets)), c
